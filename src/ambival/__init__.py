@@ -1,8 +1,8 @@
 """Market-consistent valuation of insurance run-offs under parameter ambiguity.
 
-The packages splits into a generic engine and a worked case study:
+The package splits into a generic engine and a worked case study:
 
-* ``scenario``     -- lattice and path-sample backends, adapted processes
+* ``scenario``     -- lattice engine, adapted processes, seeded Gaussian innovations
 * ``riskmeasures`` -- value-at-risk and average value-at-risk layers
 * ``priors``       -- parametric density processes and ambiguity ellipsoids
 * ``valuation``    -- the multiple-prior backward recursion and bounds

@@ -179,14 +179,15 @@ def _cmd_table1(cfg: RunConfig, out_dir: Path) -> None:
 
 def _cmd_figure1(cfg: RunConfig, out_dir: Path) -> None:
     data = figure1_data(model=cfg.model(), n_rep=1000, seed=cfg.seed, m_boundary=cfg.m)
-    for name, text in figure1_csv(data).items():
+    files = figure1_csv(data)
+    for name, text in files.items():
         _write(out_dir, name, text)
     manifest = cfg.to_manifest()
     manifest += "\n".join(
         _matrix_lines("mu", data.cloud.mu) + _matrix_lines("sigma", data.cloud.sigma)
     ) + "\n"
     _write(out_dir, "manifest.txt", manifest)
-    print(f"figure1: {len(figure1_csv(data))} files in {out_dir}")
+    print(f"figure1: {len(files)} files in {out_dir}")
 
 
 def _cmd_value(cfg: RunConfig, out_dir: Path) -> None:
@@ -212,42 +213,13 @@ def _cmd_value(cfg: RunConfig, out_dir: Path) -> None:
     print(f"{case} p={cfg.p} q={cfg.q}: ({lower:.3f}, {upper:.3f})")
 
 
-def _random_suite(seed: int, n_instances: int):
-    """Random small lattices with tilt families for self-checks."""
-    from .priors import ExponentialTiltFamily
-    from .scenario import build_lattice
-
-    rng = np.random.default_rng(seed)
-    shapes = [(1, 3), (2, 2), (2, 3), (3, 2)]
-    for trial in range(n_instances):
-        horizon, branching = shapes[trial % len(shapes)]
-        transitions = []
-        n_nodes = 1
-        for _ in range(horizon):
-            rows = []
-            for _ in range(n_nodes):
-                w = rng.uniform(0.1, 1.0, branching)
-                rows.append(w / w.sum())
-            transitions.append(rows)
-            n_nodes *= branching
-        lattice = build_lattice(transitions)
-        payload = {t: rng.uniform(-1.0, 1.0, lattice.n_nodes(t)) for t in range(1, horizon + 1)}
-        scores = [rng.normal(0.0, 1.0, lattice.n_nodes(t)) for t in range(horizon + 1)]
-        family = ExponentialTiltFamily(lattice, scores)
-        grid = [-0.5, 0.7] if (horizon, branching) == (3, 2) else [-0.5, 0.0, 0.7]
-        yield lattice, payload, family, grid
-
-
 def _cmd_oracle_check(cfg: RunConfig, out_dir: Path, n_instances: int = 200) -> None:
-    from .oracle import snell_bruteforce
-    from .riskmeasures import RiskMeasureSpec
+    from .oracle import random_suite, snell_bruteforce
     from .scenario import AdaptedProcess
     from .valuation import CashFlowSpec, value_multiprior
 
     worst = 0.0
-    for i, (lattice, payload, family, grid) in enumerate(
-        _random_suite(cfg.seed, n_instances)
-    ):
+    for i, (lattice, payload, family, grid) in enumerate(random_suite(cfg.seed, n_instances)):
         cf = CashFlowSpec(liability=AdaptedProcess(name="X", values=payload))
         rm = RiskMeasureSpec(AVAR if i % 2 else VAR, 0.1)
         out = value_multiprior(cf, rm, family, grid, lattice)
@@ -266,14 +238,14 @@ def _cmd_oracle_check(cfg: RunConfig, out_dir: Path, n_instances: int = 200) -> 
 
 
 def _cmd_validate(cfg: RunConfig, out_dir: Path) -> None:
+    from .oracle import random_suite
     from .priors import density_process
-    from .riskmeasures import RiskMeasureSpec
     from .scenario import AdaptedProcess
     from .valuation import CashFlowSpec, supermartingale_diagnostic, value_multiprior
 
     cfg.model()  # validates model parameters
     checks = 0
-    for lattice, payload, family, grid in _random_suite(cfg.seed, 8):
+    for lattice, payload, family, grid in random_suite(cfg.seed, 8):
         cf = CashFlowSpec(liability=AdaptedProcess(name="X", values=payload))
         out = value_multiprior(cf, RiskMeasureSpec(cfg.kind, cfg.q), family, grid, lattice)
         for theta in grid:

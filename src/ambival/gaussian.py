@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -184,16 +184,25 @@ def fit_params(
         raise ValidationError("estimators need at least 3 years per column")
     if len(c2) >= len(c1):
         raise ValidationError("second column must be shorter than the first (run-off triangle)")
-    v1 = np.ones(len(c1)) if exposures is None else np.asarray(exposures)[: len(c1)]
-    v2 = v1[: len(c2)]
-    c1h = c1[: len(c2)]
-    b0 = float(np.dot(v1, c1) / v1.sum())
-    s0sq = float(np.dot(v1, (c1 - b0) ** 2) / (len(c1) - 1))
-    denom = float(np.dot(v2, c1h**2))
-    if denom == 0.0:
+    v1 = np.ones(len(c1)) if exposures is None else np.asarray(exposures, dtype=np.float64)
+    b0, s0sq, b1, s1sq = _estimators(c1[None, :], c2[None, :], v1[: len(c1)])
+    return float(b0[0]), float(s0sq[0]), float(b1[0]), float(s1sq[0])
+
+
+def _estimators(
+    c1: np.ndarray, c2: np.ndarray, v1: np.ndarray
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The four estimators of :func:`fit_params` for each row of a batch of triangles."""
+    n1, n2 = c1.shape[1], c2.shape[1]
+    v2 = v1[:n2]
+    c1h = c1[:, :n2]
+    b0 = c1 @ v1 / v1.sum()
+    s0sq = ((c1 - b0[:, None]) ** 2) @ v1 / (n1 - 1)
+    denom = (v2 * c1h**2).sum(axis=1)
+    if np.any(denom == 0.0):
         raise ValidationError("degenerate regression: sum v_i C_{i,1}^2 is zero")
-    b1 = float(np.dot(v2, c1h * c2) / denom)
-    s1sq = float(np.dot(v2, (c2 - b1 * c1h) ** 2) / (len(c2) - 1))
+    b1 = (v2 * c1h * c2).sum(axis=1) / denom
+    s1sq = (v2 * (c2 - b1[:, None] * c1h) ** 2).sum(axis=1) / (n2 - 1)
     return b0, s0sq, b1, s1sq
 
 
@@ -214,13 +223,7 @@ def estimator_cloud(model: GaussianModel, n_rep: int, seed: int) -> CloudResult:
         raise ValidationError("estimator cloud needs at least 100 replications")
     n_years = -model.i0  # years i0 .. -1 observed with both columns shifted
     c1, c2 = _simulate_triangles(model, n_years, n_rep, seed)
-    v1 = model.exposures[:n_years]
-    v2 = v1[: n_years - 1]
-    c1h = c1[:, : n_years - 1]
-    b0 = c1 @ v1 / v1.sum()
-    s0sq = ((c1 - b0[:, None]) ** 2) @ v1 / (n_years - 1)
-    b1 = (v2 * c1h * c2).sum(axis=1) / (v2 * c1h**2).sum(axis=1)
-    s1sq = (v2 * (c2 - b1[:, None] * c1h) ** 2).sum(axis=1) / (n_years - 2)
+    b0, s0sq, b1, s1sq = _estimators(c1, c2, model.exposures[:n_years])
     cloud = np.column_stack([b0, np.sqrt(s0sq), b1, np.sqrt(s1sq)])
     mu = cloud.mean(axis=0)
     sigma = np.cov(cloud, rowvar=False, ddof=1)
@@ -460,17 +463,13 @@ def _value_single_theta(
     under each fixed prior (simulated directly with shifted and scaled
     innovations), both on common random numbers.
     """
-    c01_p, y_base_p = _x1_plus_r1(model, paper_theta_of(model), base, c)
+    c01_p, y_base_p = _x1_plus_r1(model, model.theta, base, c)
     c01_q, y_base_q = _x1_plus_r1(model, thetas, base, c)
     g_p = closed_form_g(thetas[..., [_B1, _S1]][..., None, :], c01_p, model, c)
     g_q = closed_form_g(thetas[..., [_B1, _S1]][..., None, :], c01_q, model, c)
     r0 = _rho_rows(rm, -(y_base_p - g_p))
     c0 = np.maximum(r0[..., None] - (y_base_q - g_q), 0.0).mean(axis=-1)
     return r0 - c0
-
-
-def paper_theta_of(model: GaussianModel) -> np.ndarray:
-    return model.theta
 
 
 def _chunked_objective(
@@ -672,8 +671,7 @@ def case2_value(
     proj = project_region(region, [_B1, _S1])
     h = fit_h(model, proj, c, m_boundary=cfg.m_boundary, knots=cfg.knots, rule=cfg.c1_rule)
 
-    theta_p = paper_theta_of(model)
-    c01_p, y_base_p = _x1_plus_r1(model, theta_p, base, c)
+    c01_p, y_base_p = _x1_plus_r1(model, model.theta, base, c)
     r0 = float(_rho_rows(cfg.rm, -(y_base_p - h(c01_p))))
 
     def deficit(thetas: np.ndarray) -> np.ndarray:
@@ -690,64 +688,6 @@ def case2_value(
         refine=cfg.refine,
     )
     return r0 - c0, case2_upper(model, region), arg
-
-
-# ---------------------------------------------------------------------------
-# valuation-engine glue
-# ---------------------------------------------------------------------------
-
-
-@dataclass
-class GaussianLayerBackend:
-    """Path-sample backend exposing the closed-form time-1 conditional layer.
-
-    Lets the generic recursion run on Monte Carlo paths for this two-period
-    model: the time-1 capital requirement and worst-case deficit option are
-    evaluated in closed form per path, only the time-0 layer is empirical.
-    Parameter vectors on the grid are full ``(beta0, sigma0, beta1, sigma1)``
-    rows.
-    """
-
-    model: GaussianModel
-    n: int = 10**5
-    seed: int = 0
-
-    def value_multiprior(self, cf, rm: RiskMeasureSpec, family, grid):
-        from .valuation import ValuationOutput
-
-        if len(grid) == 0:
-            raise ValidationError("parameter grid must be nonempty")
-        thetas = np.atleast_2d(np.asarray(grid, dtype=np.float64))
-        if thetas.shape[1] != 4:
-            raise ValidationError("grid entries must be 4-dimensional parameter vectors")
-        c = gaussian_c(rm)
-        base = _p_sample(self.n, self.seed)
-
-        def c1_of(c01: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-            table = closed_form_g(thetas[:, None, [_B1, _S1]], c01, model=self.model, c=c)
-            return table.min(axis=0), table.argmin(axis=0)
-
-        c01_p, y_base_p = _x1_plus_r1(self.model, paper_theta_of(self.model), base, c)
-        r1 = r1_closed_form(c01_p, self.model, c)
-        c1, theta1_star = c1_of(c01_p)
-        r0 = float(_rho_rows(rm, -(y_base_p - c1)))
-        deficits = np.empty(len(thetas))
-        for i, theta in enumerate(thetas):
-            c01_q, y_base_q = _x1_plus_r1(self.model, theta, base, c)
-            c1_q, _ = c1_of(c01_q)
-            deficits[i] = np.maximum(r0 - (y_base_q - c1_q), 0.0).mean()
-        i0 = int(np.argmin(deficits))
-        c0 = float(deficits[i0])
-        zeros = np.zeros(self.n)
-        return ValuationOutput(
-            horizon=2,
-            R={0: np.array([r0]), 1: r1, 2: zeros},
-            C={0: np.array([c0]), 1: c1, 2: zeros},
-            V={0: np.array([r0 - c0]), 1: r1 - c1, 2: zeros},
-            theta_star={0: np.array([i0]), 1: theta1_star},
-            default_indicator={1: (y_base_p - c1) > r0},
-            grid=[np.asarray(t) for t in np.atleast_2d(grid)],
-        )
 
 
 # ---------------------------------------------------------------------------

@@ -18,8 +18,8 @@ from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple
 import numpy as np
 
 from .errors import CapExceededError, ValidationError
-from .priors import DensityFamily, Selection, density_process
-from .scenario import ScenarioLattice, StoppingTime
+from .priors import DensityFamily, ExponentialTiltFamily, Selection, density_process
+from .scenario import ScenarioLattice, StoppingTime, build_lattice
 
 DEFAULT_CAP = 10**6
 
@@ -189,11 +189,10 @@ def snell_recursion(
     T = lattice.horizon
     u = np.maximum(h_by_level[T][lattice.parents[T]], h_by_level[T + 1])
     for t in range(T - 1, -1, -1):
-        starts = lattice.child_offsets[t][:-1]
         cont = None
         for theta in grid:
             f = np.asarray(family.factors(t + 1, theta), dtype=np.float64)
-            e = np.add.reduceat(lattice.probs[t + 1] * f * u, starts)
+            e = lattice.cond_sum(t, lattice.probs[t + 1] * f * u)
             cont = e if cont is None else np.minimum(cont, e)
         h_here = h_by_level[t][lattice.parents[t]] if t > 0 else np.zeros(1)
         u = np.maximum(h_here, cont)
@@ -279,3 +278,52 @@ def snell_bruteforce(
         n_selections=len(sels),
         payoff_table=table if keep_table else None,
     )
+
+
+# ---------------------------------------------------------------------------
+# random test problems
+# ---------------------------------------------------------------------------
+
+Instance = Tuple[ScenarioLattice, Dict[int, np.ndarray], ExponentialTiltFamily, List[float]]
+
+
+def random_instance(
+    rng: np.random.Generator,
+    horizon: int,
+    branching: int,
+    grid: Sequence[float] = (-0.5, 0.0, 0.7),
+) -> Instance:
+    """``(lattice, cash flow, family, grid)`` for one random test problem.
+
+    A tree of uniform shape with strictly positive random transition
+    probabilities, a uniform cash flow in [-1, 1] at times 1..T and an
+    exponential tilt of normal per-node scores.  Draws come from ``rng`` in
+    that order.
+    """
+    transitions = []
+    n_nodes = 1
+    for _ in range(horizon):
+        rows = []
+        for _ in range(n_nodes):
+            w = rng.uniform(0.1, 1.0, branching)
+            rows.append(w / w.sum())
+        transitions.append(rows)
+        n_nodes *= branching
+    lattice = build_lattice(transitions)
+    payload = {t: rng.uniform(-1.0, 1.0, lattice.n_nodes(t)) for t in range(1, horizon + 1)}
+    scores = [rng.normal(0.0, 1.0, lattice.n_nodes(t)) for t in range(horizon + 1)]
+    return lattice, payload, ExponentialTiltFamily(lattice, scores), list(grid)
+
+
+def random_suite(seed: int, n_instances: int) -> Iterator[Instance]:
+    """Random problems small enough for exhaustive enumeration.
+
+    The ``(horizon, branching)`` shapes cycle; the deepest one drops the grid
+    midpoint to keep the selection count low.
+    """
+    rng = np.random.default_rng(seed)
+    shapes = [(1, 3), (2, 2), (2, 3), (3, 2)]
+    for trial in range(n_instances):
+        shape = shapes[trial % len(shapes)]
+        grid = (-0.5, 0.7) if shape == (3, 2) else (-0.5, 0.0, 0.7)
+        yield random_instance(rng, *shape, grid=grid)

@@ -15,7 +15,7 @@ radius) and deterministic boundary/interior grids.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, Hashable, List, Optional, Sequence, Tuple, Union
+from typing import Any, Dict, List, Optional, Sequence, Union
 
 import numpy as np
 import scipy.linalg
@@ -25,6 +25,7 @@ from .errors import ValidationError
 from .scenario import ScenarioLattice, StoppingTime
 
 _MARTINGALE_TOL = 1e-10
+_MAX_DROP_FRACTION = 0.10
 
 
 # ---------------------------------------------------------------------------
@@ -33,11 +34,11 @@ _MARTINGALE_TOL = 1e-10
 
 
 class DensityFamily:
-    """One-step density factors ``f_t(theta)`` on a scenario backend.
+    """One-step density factors ``f_t(theta)``.
 
-    Subclasses implement :meth:`factors` (lattice backends: one factor per
-    time-``t`` node) and/or :meth:`step` (pointwise evaluation against a
-    caller-supplied innovation context).
+    Subclasses implement :meth:`factors` (one factor per time-``t`` lattice
+    node) or :meth:`step` (pointwise evaluation against a caller-supplied
+    innovation context).
     """
 
     dim: int = 1
@@ -75,39 +76,8 @@ class ExponentialTiltFamily(DensityFamily):
         lat = self.lattice
         theta = float(np.asarray(theta).reshape(-1)[0])
         raw = np.exp(theta * self.scores[t])
-        starts = lat.child_offsets[t - 1][:-1]
-        z = np.add.reduceat(lat.probs[t] * raw, starts)
+        z = lat.cond_sum(t - 1, lat.probs[t] * raw)
         return raw / z[lat.parents[t]]
-
-
-class ExplicitFactorFamily(DensityFamily):
-    """Lattice family with hand-specified factor arrays per (theta, level)."""
-
-    def __init__(
-        self,
-        lattice: ScenarioLattice,
-        tables: Dict[Hashable, Sequence[np.ndarray]],
-        region: Optional["ParamRegion"] = None,
-    ) -> None:
-        self.lattice = lattice
-        self.tables = {
-            k: [np.asarray(a, dtype=np.float64) for a in v] for k, v in tables.items()
-        }
-        self.dim = 1
-        self.region = region
-
-    def factors(self, t: int, theta: Any) -> np.ndarray:
-        return self.tables[theta][t - 1]
-
-
-def density_step(family: DensityFamily, t: int, theta: Any, context: Any = None) -> float:
-    """Evaluate one factor ``f_t(theta)``, enforcing domain and positivity."""
-    if family.region is not None and not family.region.membership(theta):
-        raise ValidationError(f"theta {theta!r} outside the parameter region")
-    value = family.step(t, theta, context)
-    if not value > 0.0:
-        raise ValidationError(f"density factor not positive at t={t}, theta={theta!r}")
-    return float(value)
 
 
 # ---------------------------------------------------------------------------
@@ -138,9 +108,7 @@ class DensityProcess:
             if np.any(v <= 0.0):
                 raise ValidationError(f"density process not positive at level {t}")
         for t in range(lat.horizon):
-            cond = np.add.reduceat(
-                lat.probs[t + 1] * self.values[t + 1], lat.child_offsets[t][:-1]
-            )
+            cond = lat.cond_sum(t, lat.probs[t + 1] * self.values[t + 1])
             err = np.max(np.abs(cond - self.values[t]))
             if err > _MARTINGALE_TOL * max(1.0, float(np.max(self.values[t]))):
                 raise ValidationError(
@@ -237,16 +205,6 @@ def paste(d1: DensityProcess, d2: DensityProcess, tau: StoppingTime) -> DensityP
     return DensityProcess(lattice=lat, values=values)
 
 
-def mix(d1: DensityProcess, d2: DensityProcess, c: float) -> DensityProcess:
-    """Convex combination ``c d1 + (1 - c) d2`` of density processes."""
-    if not 0.0 <= c <= 1.0:
-        raise ValidationError("mixing weight must lie in [0,1]")
-    return DensityProcess(
-        lattice=d1.lattice,
-        values=[c * a + (1.0 - c) * b for a, b in zip(d1.values, d2.values)],
-    )
-
-
 # ---------------------------------------------------------------------------
 # ellipsoidal parameter regions
 # ---------------------------------------------------------------------------
@@ -284,9 +242,6 @@ class ParamRegion:
 
     def membership(self, z: np.ndarray) -> bool:
         return bool(self.mahalanobis2(np.asarray(z)) <= self.radius2 + 1e-10)
-
-    def point(self, r: float, s: np.ndarray) -> np.ndarray:
-        return self.center + r * (self.chol @ np.asarray(s, dtype=np.float64))
 
     @property
     def is_point(self) -> bool:
@@ -365,15 +320,12 @@ def boundary_grid(
     region: ParamRegion,
     m: int,
     positive: Sequence[int] = (),
-    lower: Optional[Dict[int, float]] = None,
-    max_drop_fraction: float = 0.10,
 ) -> BoundaryGrid:
     """``m`` points exactly on the region boundary.
 
-    Points violating admissibility constraints (``positive`` coordinates must
-    be > 0; ``lower`` maps coordinate -> strict lower bound) are clipped out
-    and counted; the grid fails loudly when more than ``max_drop_fraction``
-    of the points are dropped.
+    Points violating admissibility (``positive`` coordinates must be > 0) are
+    clipped out and counted; the grid fails loudly when more than 10% of the
+    points are dropped.
     """
     if m < 2:
         raise ValidationError("boundary resolution must be at least 2")
@@ -384,10 +336,8 @@ def boundary_grid(
     keep = np.ones(len(pts), dtype=bool)
     for c in positive:
         keep &= pts[:, c] > 0.0
-    for c, bound in (lower or {}).items():
-        keep &= pts[:, c] > bound
     n_dropped = int(m - keep.sum())
-    if n_dropped > max_drop_fraction * m:
+    if n_dropped > _MAX_DROP_FRACTION * m:
         raise ValidationError(
             f"{n_dropped} of {m} boundary points violate admissibility constraints"
         )

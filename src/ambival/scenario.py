@@ -1,19 +1,17 @@
-"""Filtered discrete-time scenario backends.
-
-Two interchangeable representations of a filtered probability structure:
+"""Filtered discrete-time scenarios: the lattice engine and seeded innovations.
 
 * :class:`ScenarioLattice` -- an exact finite tree with one node per state,
   strictly positive one-step transition probabilities and exact conditional
   expectations.  Used by the backward recursion and the brute-force oracle.
-* :class:`PathSample` -- a seeded Monte Carlo matrix of standard normal
-  innovations with derived process columns.  Used by the Gaussian case study,
-  where interior conditional layers are available in closed form.
+* :func:`simulate_paths` -- a seeded Monte Carlo matrix of iid standard
+  normal innovations.  Used by the Gaussian case study, whose interior
+  conditional layers are available in closed form.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -43,14 +41,14 @@ class ScenarioLattice:
             at level ``t - 1`` (``parents[0] == [-1]``).
         probs: per level ``t``, one-step transition probability of each node
             conditional on its parent (``probs[0] == [1.0]``).
-        payloads: named per-level value arrays attached to nodes.
+        child_offsets: per level ``t < T``, the child index ranges, derived
+            from ``parents`` and checked on construction.
     """
 
     horizon: int
     parents: List[np.ndarray]
     probs: List[np.ndarray]
-    payloads: Dict[str, List[np.ndarray]] = field(default_factory=dict)
-    child_offsets: List[np.ndarray] = field(default_factory=list)
+    child_offsets: List[np.ndarray] = field(init=False)
 
     def __post_init__(self) -> None:
         if self.horizon < 1:
@@ -61,8 +59,7 @@ class ScenarioLattice:
             raise ValidationError("lattice must have exactly one root at t=0")
         self.parents = [np.asarray(p, dtype=np.int64) for p in self.parents]
         self.probs = [np.asarray(p, dtype=np.float64) for p in self.probs]
-        if not self.child_offsets:
-            self.child_offsets = self._build_child_offsets()
+        self.child_offsets = self._build_child_offsets()
         self._validate()
 
     def _build_child_offsets(self) -> List[np.ndarray]:
@@ -84,7 +81,7 @@ class ScenarioLattice:
                 raise ValidationError(
                     f"non-positive transition probability at level {t}, node {bad}"
                 )
-            sums = np.add.reduceat(p, self.child_offsets[t - 1][:-1])
+            sums = self.cond_sum(t - 1, p)
             off = np.abs(sums - 1.0)
             if np.any(off > _PROB_TOL):
                 bad = int(np.argmax(off))
@@ -92,12 +89,6 @@ class ScenarioLattice:
                     f"probabilities sum to {sums[bad]:.12g} for node {bad} "
                     f"at level {t - 1}"
                 )
-        for name, levels in self.payloads.items():
-            for t, vals in enumerate(levels):
-                if vals is None:
-                    continue
-                if not np.all(np.isfinite(vals)):
-                    raise ValidationError(f"non-finite payload {name!r} at level {t}")
 
     def n_nodes(self, t: int) -> int:
         return len(self.parents[t])
@@ -110,6 +101,10 @@ class ScenarioLattice:
         """Indices at level ``t + 1`` of the children of ``node`` at level ``t``."""
         off = self.child_offsets[t]
         return np.arange(off[node], off[node + 1])
+
+    def cond_sum(self, t: int, values_next: np.ndarray) -> np.ndarray:
+        """Sum of a level-``t + 1`` array over the children of each level-``t`` node."""
+        return np.add.reduceat(values_next, self.child_offsets[t][:-1])
 
     def path_probs(self, t: int) -> np.ndarray:
         """Unconditional probability of each node at level ``t``."""
@@ -125,23 +120,13 @@ class ScenarioLattice:
             out = out[self.parents[s]]
         return out
 
-    def payload_process(self, name: str) -> "AdaptedProcess":
-        levels = self.payloads[name]
-        values = {t: np.asarray(v, dtype=np.float64) for t, v in enumerate(levels) if v is not None}
-        return AdaptedProcess(name=name, values=values)
 
-
-def build_lattice(
-    transitions: Sequence[Sequence[Sequence[float]]],
-    payloads: Optional[Dict[str, Sequence[Optional[Sequence[float]]]]] = None,
-) -> ScenarioLattice:
+def build_lattice(transitions: Sequence[Sequence[Sequence[float]]]) -> ScenarioLattice:
     """Build a lattice from per-period transition rows.
 
     Args:
         transitions: ``transitions[t - 1]`` holds one probability row per
             time-``t - 1`` node, listing child probabilities at time ``t``.
-        payloads: optional named per-level value arrays (``None`` entries for
-            levels where a process is undefined).
 
     Raises:
         ValidationError: if a probability row is not a strictly positive
@@ -174,20 +159,7 @@ def build_lattice(
         parents.append(np.concatenate(par))
         probs.append(np.concatenate(prb))
         n_prev = len(parents[-1])
-    payload_arrays: Dict[str, List[np.ndarray]] = {}
-    if payloads:
-        for name, levels in payloads.items():
-            if len(levels) != horizon + 1:
-                raise ValidationError(f"payload {name!r} must list one array per level 0..T")
-            payload_arrays[name] = [
-                None if v is None else np.asarray(v, dtype=np.float64) for v in levels
-            ]
-            for t, v in enumerate(payload_arrays[name]):
-                if v is not None and len(v) != len(parents[t]):
-                    raise ValidationError(
-                        f"payload {name!r} level {t} has {len(v)} values, expected {len(parents[t])}"
-                    )
-    return ScenarioLattice(horizon=horizon, parents=parents, probs=probs, payloads=payload_arrays)
+    return ScenarioLattice(horizon=horizon, parents=parents, probs=probs)
 
 
 # ---------------------------------------------------------------------------
@@ -255,32 +227,18 @@ def cond_expectation(
             f"expected {lattice.n_nodes(t + 1)} values at level {t + 1}, got {len(values_next)}"
         )
     p = lattice.probs[t + 1]
-    starts = lattice.child_offsets[t][:-1]
     if weights is not None:
         weights = np.asarray(weights, dtype=np.float64)
         if np.any(weights <= 0.0):
             raise ValidationError("density weights must be strictly positive")
-        means = np.add.reduceat(p * weights, starts)
+        means = lattice.cond_sum(t, p * weights)
         if np.any(np.abs(means - 1.0) > _WEIGHT_TOL):
             bad = int(np.argmax(np.abs(means - 1.0)))
             raise ValidationError(
                 f"weight conditional mean {means[bad]:.12g} != 1 for node {bad} at level {t}"
             )
         p = p * weights
-    return np.add.reduceat(p * values_next, starts)
-
-
-def cond_expectation_process(
-    lattice: ScenarioLattice,
-    proc: AdaptedProcess,
-    t: int,
-    weights: Optional[np.ndarray] = None,
-) -> AdaptedProcess:
-    """Process-level wrapper of :func:`cond_expectation` for time ``t + 1`` values."""
-    if t + 1 not in proc.values:
-        raise ValidationError(f"{proc.name!r} not defined at time {t + 1}")
-    out = cond_expectation(lattice, proc.at(t + 1), t, weights)
-    return AdaptedProcess(name=f"E_{t}[{proc.name}]", values={t: out})
+    return lattice.cond_sum(t, p * values_next)
 
 
 # ---------------------------------------------------------------------------
@@ -349,14 +307,11 @@ class StoppingTime:
 
 @dataclass(frozen=True)
 class InnovationSpec:
-    """Columns of iid innovations; only the standard normal family ships."""
+    """Named columns of iid standard normal innovations."""
 
     columns: Tuple[str, ...]
-    family: str = "normal"
 
     def __post_init__(self) -> None:
-        if self.family != "normal":
-            raise ValidationError(f"unsupported innovation family {self.family!r}")
         if len(self.columns) == 0:
             raise ValidationError("innovation spec needs at least one column")
         if len(set(self.columns)) != len(self.columns):
@@ -372,28 +327,16 @@ def substream(seed: int, *ids: int) -> np.random.Generator:
 
 @dataclass
 class PathSample:
-    """Seeded Monte Carlo matrix of innovations plus derived process columns."""
+    """Seeded Monte Carlo matrix of innovations, one column per spec name."""
 
-    n_paths: int
-    horizon: int
-    seed: int
     spec: InnovationSpec
     draws: np.ndarray
-    derived: Dict[str, np.ndarray] = field(default_factory=dict)
 
     def column(self, name: str) -> np.ndarray:
-        if name in self.spec.columns:
-            return self.draws[:, self.spec.columns.index(name)]
-        return self.derived[name]
-
-    def add_derived(self, name: str, values: np.ndarray) -> None:
-        values = np.asarray(values, dtype=np.float64)
-        if values.shape != (self.n_paths,):
-            raise ValidationError(f"derived column {name!r} has wrong shape")
-        self.derived[name] = values
+        return self.draws[:, self.spec.columns.index(name)]
 
 
-def simulate_paths(model: InnovationSpec, n: int, seed: int, horizon: int = 1) -> PathSample:
+def simulate_paths(model: InnovationSpec, n: int, seed: int) -> PathSample:
     """Simulate ``n`` paths of iid standard normal innovations.
 
     Deterministic in ``(model, n, seed)``.  Each column uses its own
@@ -410,87 +353,4 @@ def simulate_paths(model: InnovationSpec, n: int, seed: int, horizon: int = 1) -
             stop = min(start + _BLOCK, n)
             col[start:stop] = substream(seed, c, b).standard_normal(stop - start)
         draws[:, c] = col
-    return PathSample(n_paths=n, horizon=horizon, seed=seed, spec=model, draws=draws)
-
-
-# ---------------------------------------------------------------------------
-# serialization (test fixtures)
-# ---------------------------------------------------------------------------
-
-
-def lattice_to_tsv(lattice: ScenarioLattice) -> str:
-    lines = [f"lattice\thorizon={lattice.horizon}"]
-    names = sorted(lattice.payloads)
-    for t in range(lattice.horizon + 1):
-        for j in range(lattice.n_nodes(t)):
-            cells = [
-                "node",
-                str(t),
-                str(j),
-                str(int(lattice.parents[t][j])),
-                repr(float(lattice.probs[t][j])),
-            ]
-            for name in names:
-                levels = lattice.payloads[name]
-                if levels[t] is not None:
-                    cells.append(f"{name}={float(levels[t][j])!r}")
-            lines.append("\t".join(cells))
-    return "\n".join(lines) + "\n"
-
-
-def lattice_from_tsv(text: str) -> ScenarioLattice:
-    lines = [ln for ln in text.splitlines() if ln.strip()]
-    head = lines[0].split("\t")
-    if head[0] != "lattice":
-        raise ValidationError("not a lattice record")
-    horizon = int(head[1].split("=")[1])
-    parents: List[List[int]] = [[] for _ in range(horizon + 1)]
-    probs: List[List[float]] = [[] for _ in range(horizon + 1)]
-    payload: Dict[str, List[Dict[int, float]]] = {}
-    for ln in lines[1:]:
-        cells = ln.split("\t")
-        t, j, par, pr = int(cells[1]), int(cells[2]), int(cells[3]), float(cells[4])
-        if j != len(parents[t]):
-            raise ValidationError("nodes out of order in lattice record")
-        parents[t].append(par)
-        probs[t].append(pr)
-        for cell in cells[5:]:
-            name, val = cell.split("=", 1)
-            payload.setdefault(name, [dict() for _ in range(horizon + 1)])[t][j] = float(val)
-    payloads = {
-        name: [
-            np.array([levels[t][j] for j in range(len(parents[t]))]) if levels[t] else None
-            for t in range(horizon + 1)
-        ]
-        for name, levels in payload.items()
-    }
-    return ScenarioLattice(
-        horizon=horizon,
-        parents=[np.array(p) for p in parents],
-        probs=[np.array(p) for p in probs],
-        payloads=payloads,
-    )
-
-
-def sample_to_tsv(sample: PathSample) -> str:
-    cols = ",".join(sample.spec.columns)
-    lines = [
-        f"paths\tn={sample.n_paths}\thorizon={sample.horizon}\tseed={sample.seed}\tcols={cols}"
-    ]
-    for i in range(sample.n_paths):
-        lines.append("\t".join(repr(float(x)) for x in sample.draws[i]))
-    return "\n".join(lines) + "\n"
-
-
-def sample_from_tsv(text: str) -> PathSample:
-    lines = [ln for ln in text.splitlines() if ln.strip()]
-    head = dict(cell.split("=", 1) for cell in lines[0].split("\t")[1:])
-    spec = InnovationSpec(columns=tuple(head["cols"].split(",")))
-    draws = np.array([[float(x) for x in ln.split("\t")] for ln in lines[1:]])
-    return PathSample(
-        n_paths=int(head["n"]),
-        horizon=int(head["horizon"]),
-        seed=int(head["seed"]),
-        spec=spec,
-        draws=draws,
-    )
+    return PathSample(spec=model, draws=draws)

@@ -20,14 +20,14 @@ from __future__ import annotations
 
 import io
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from .errors import NumericalError, ValidationError
 from .priors import DensityFamily, density_process
 from .riskmeasures import RiskMeasureSpec, apply_discrete
-from .scenario import AdaptedProcess, ScenarioLattice, StoppingTime
+from .scenario import AdaptedProcess, ScenarioLattice, StoppingTime, assert_adapted
 
 INF = "INF"
 SUP = "SUP"
@@ -81,8 +81,6 @@ class ValuationOutput:
     theta_star: Dict[int, np.ndarray]  # grid index per time-t state
     default_indicator: Dict[int, np.ndarray]  # {R_{t-1} - X_t - V_t < 0} per time-t state
     grid: List[Any]
-    bounds: Optional[Tuple[float, float]] = None
-    diagnostics: Dict[str, Any] = field(default_factory=dict)
 
     @property
     def v0(self) -> float:
@@ -103,12 +101,6 @@ class ValuationOutput:
         for t in sorted(self.R):
             for name, levels in (("R", self.R), ("C", self.C), ("V", self.V)):
                 buf.write(f"{name}_{t} = {' '.join(repr(float(x)) for x in levels[t])}\n")
-        if self.bounds is not None:
-            buf.write(f"lower_bound = {self.bounds[0]!r}\n")
-            buf.write(f"upper_bound = {self.bounds[1]!r}\n")
-        for key, val in sorted(self.diagnostics.items()):
-            if np.isscalar(val):
-                buf.write(f"{key} = {val!r}\n")
         return buf.getvalue()
 
 
@@ -165,11 +157,10 @@ def worst_case_cond_exp(
     if direction not in (INF, SUP):
         raise ValidationError(f"unknown direction {direction!r}")
     p = lattice.probs[t + 1]
-    starts = lattice.child_offsets[t][:-1]
     table = np.empty((len(grid), lattice.n_nodes(t)))
     for i, theta in enumerate(grid):
         f = np.asarray(family.factors(t + 1, theta), dtype=np.float64)
-        row = np.add.reduceat(p * f * values_next, starts)
+        row = lattice.cond_sum(t, p * f * values_next)
         if not np.all(np.isfinite(row)):
             bad = int(np.argmax(~np.isfinite(row)))
             raise NumericalError(
@@ -209,36 +200,21 @@ def value_multiprior(
     rm: RiskMeasureSpec,
     family: DensityFamily,
     grid: Sequence[Any],
-    backend: Any,
-) -> ValuationOutput:
-    """Full backward recursion for the multiple-prior value.
-
-    On a :class:`ScenarioLattice` the recursion is exact.  Any other backend
-    must expose a ``value_multiprior`` method providing the closed-form
-    conditional layers (the Gaussian two-period study does); otherwise the
-    request is rejected.
-    """
-    if isinstance(backend, ScenarioLattice):
-        return _value_multiprior_lattice(cf, rm, family, grid, backend)
-    layer = getattr(backend, "value_multiprior", None)
-    if layer is None:
-        raise ValidationError(
-            "conditional layer unavailable: the sample backend does not "
-            "provide closed-form interior conditional expectations"
-        )
-    return layer(cf, rm, family, grid)
-
-
-def _value_multiprior_lattice(
-    cf: CashFlowSpec,
-    rm: RiskMeasureSpec,
-    family: DensityFamily,
-    grid: Sequence[Any],
     lattice: ScenarioLattice,
 ) -> ValuationOutput:
+    """Full backward recursion for the multiple-prior value on a lattice.
+
+    The recursion is exact.  The residual cash flow must carry one finite
+    value per lattice node at each time 1..T.
+    """
+    if not isinstance(lattice, ScenarioLattice):
+        raise ValidationError(
+            f"value_multiprior needs a ScenarioLattice, got {type(lattice).__name__}"
+        )
     T = lattice.horizon
     if cf.horizon != T:
         raise ValidationError("cash flow horizon does not match the lattice")
+    assert_adapted(lattice, cf.residual)
     if len(grid) == 0:
         raise ValidationError("parameter grid must be nonempty")
     zeros_T = np.zeros(lattice.n_nodes(T))
@@ -270,12 +246,12 @@ def value_singleprior(
     rm: RiskMeasureSpec,
     family: DensityFamily,
     theta: Any,
-    backend: Any,
+    lattice: ScenarioLattice,
 ) -> ValuationOutput:
     """Recursion under the single prior selected by ``theta``."""
     if family.region is not None and not family.region.membership(theta):
         raise ValidationError(f"theta {theta!r} outside the parameter region")
-    return value_multiprior(cf, rm, family, [theta], backend)
+    return value_multiprior(cf, rm, family, [theta], lattice)
 
 
 def expected_total_cashflow(
@@ -290,24 +266,18 @@ def expected_total_cashflow(
 
 
 def upper_bound(
-    cf: Optional[CashFlowSpec],
-    family: Optional[DensityFamily],
+    cf: CashFlowSpec,
+    family: DensityFamily,
     grid: Sequence[Any],
-    lattice: Optional[ScenarioLattice] = None,
-    objective: Optional[Callable[[Any], float]] = None,
+    lattice: ScenarioLattice,
 ) -> float:
     """Conservative bound: worst-case expected total residual cash flow.
 
-    Either evaluates the exact expectation per grid point on a lattice, or
-    maximizes a caller-supplied closed-form objective over the grid (the
-    Gaussian case study passes its closed forms here).
+    The maximum over the grid of the exact lattice expectation under each
+    constant-parameter prior.
     """
     if len(grid) == 0:
         raise ValidationError("parameter grid must be nonempty")
-    if objective is not None:
-        return max(float(objective(theta)) for theta in grid)
-    if lattice is None or cf is None or family is None:
-        raise ValidationError("lattice mode needs cash flow, family and lattice")
     return max(expected_total_cashflow(cf, family, theta, lattice) for theta in grid)
 
 
@@ -316,14 +286,14 @@ def lower_bound(
     rm: RiskMeasureSpec,
     family: DensityFamily,
     grid: Sequence[Any],
-    backend: Any,
+    lattice: ScenarioLattice,
 ) -> Tuple[float, Any]:
     """Best single-prior value over the grid and the maximizing parameter."""
     if len(grid) == 0:
         raise ValidationError("parameter grid must be nonempty")
     best, best_theta = -np.inf, None
     for theta in grid:
-        v0 = value_multiprior(cf, rm, family, [theta], backend).v0
+        v0 = value_multiprior(cf, rm, family, [theta], lattice).v0
         if v0 > best:
             best, best_theta = v0, theta
     return best, best_theta
@@ -380,14 +350,10 @@ def supermartingale_diagnostic(
     remaining_by_t = {T: remaining}
     for t in range(T - 1, -1, -1):
         p = lattice.probs[t + 1]
-        starts = lattice.child_offsets[t][:-1]
-        remaining_by_t[t] = np.add.reduceat(
-            p * (cf.x(t + 1) + remaining_by_t[t + 1]), starts
-        )
+        remaining_by_t[t] = lattice.cond_sum(t, p * (cf.x(t + 1) + remaining_by_t[t + 1]))
     for t in range(T):
         p = lattice.probs[t + 1]
-        starts = lattice.child_offsets[t][:-1]
-        cont = np.add.reduceat(p * (cf.x(t + 1) + out.V[t + 1]), starts)
+        cont = lattice.cond_sum(t, p * (cf.x(t + 1) + out.V[t + 1]))
         step_margins[t] = out.V[t] - cont
         risk_margins[t] = out.V[t] - remaining_by_t[t]
         for j in np.nonzero(step_margins[t] < -tol)[0]:
@@ -396,11 +362,3 @@ def supermartingale_diagnostic(
         step_margins=step_margins, risk_margins=risk_margins, violations=violations, tol=tol
     )
 
-
-def liability_value(v0: float, replicating_market_value: float) -> float:
-    """Total liability value: market value of the replicating portfolio plus ``V_0``."""
-    return float(replicating_market_value) + float(v0)
-
-
-def bounds_csv_row(case: str, p: float, q: float, lower: float, upper: float) -> str:
-    return f"{case},{p!r},{q!r},{lower!r},{upper!r}"

@@ -3,33 +3,13 @@
 import numpy as np
 import pytest
 
-from ambival.priors import ExponentialTiltFamily
+from ambival.oracle import random_instance as make_instance
 from ambival.scenario import build_lattice
 
 
 def make_lattice(rng, horizon, branching):
     """Random strictly positive transition tree with fixed shape."""
-    transitions = []
-    n_nodes = 1
-    for _ in range(horizon):
-        rows = []
-        for _ in range(n_nodes):
-            w = rng.uniform(0.1, 1.0, branching)
-            rows.append(w / w.sum())
-        transitions.append(rows)
-        n_nodes *= branching
-    return build_lattice(transitions)
-
-
-def make_instance(rng, horizon, branching, grid=(-0.5, 0.0, 0.7)):
-    """(lattice, payload, family, grid) with a random exponential tilt family."""
-    lattice = make_lattice(rng, horizon, branching)
-    payload = {
-        t: rng.uniform(-1.0, 1.0, lattice.n_nodes(t)) for t in range(1, horizon + 1)
-    }
-    scores = [rng.normal(0.0, 1.0, lattice.n_nodes(t)) for t in range(horizon + 1)]
-    family = ExponentialTiltFamily(lattice, scores)
-    return lattice, payload, family, list(grid)
+    return make_instance(rng, horizon, branching)[0]
 
 
 @pytest.fixture

@@ -12,7 +12,7 @@ import pytest
 from scipy.integrate import quad
 from scipy.stats import norm
 
-from ambival.cli import _random_suite, main
+from ambival.cli import main
 from ambival.gaussian import (
     CASE1,
     CASE2,
@@ -27,7 +27,7 @@ from ambival.gaussian import (
     table1,
     _rho_rows,
 )
-from ambival.oracle import snell_bruteforce
+from ambival.oracle import random_suite, snell_bruteforce
 from ambival.priors import StoppingTime, density_process, paste, point_region
 from ambival.riskmeasures import AVAR, VAR, RiskMeasureSpec, gaussian_c
 from ambival.scenario import AdaptedProcess, substream
@@ -73,7 +73,7 @@ def oracle_suite():
     """200 random lattices: recursion value vs brute-force enumeration."""
     start = time.time()
     records = []
-    for i, (lattice, payload, family, grid) in enumerate(_random_suite(0, 200)):
+    for i, (lattice, payload, family, grid) in enumerate(random_suite(0, 200)):
         cf = CashFlowSpec(liability=AdaptedProcess(name="X", values=payload))
         rm = RiskMeasureSpec(AVAR if i % 2 else VAR, 0.1)
         out = value_multiprior(cf, rm, family, grid, lattice)
@@ -154,7 +154,7 @@ def test_criterion_3_axioms():
 def test_criterion_4_density_suite():
     rng = np.random.default_rng(3)
     worst = 0.0
-    for trial, (lattice, _, family, grid) in enumerate(_random_suite(3, 50)):
+    for trial, (lattice, _, family, grid) in enumerate(random_suite(3, 50)):
         d1 = density_process(family, grid[0], lattice)
         d2 = density_process(family, grid[-1], lattice)
         for d in (d1, d2):

@@ -1,4 +1,4 @@
-"""Two-period Gaussian chain-ladder study: closed forms, searches, backends."""
+"""Two-period Gaussian chain-ladder study: closed forms, searches, table and figure."""
 
 import math
 
@@ -15,14 +15,11 @@ from ambival.gaussian import (
     CASE2,
     CaseConfig,
     CloudResult,
-    GaussianLayerBackend,
     GaussianModel,
     GaussianStepFamily,
     Table1Result,
     _boundary_search,
-    _p_sample,
     _rho_rows,
-    _value_single_theta,
     case1_bounds,
     case1_upper,
     case2_upper,
@@ -41,8 +38,6 @@ from ambival.gaussian import (
 )
 from ambival.priors import point_region, project_region
 from ambival.riskmeasures import AVAR, VAR, RiskMeasureSpec, avar_empirical, gaussian_c, var_empirical
-from ambival.scenario import AdaptedProcess
-from ambival.valuation import CashFlowSpec, value_multiprior
 
 
 class TestModel:
@@ -329,40 +324,6 @@ class TestHFit:
         m = paper_model()
         with pytest.raises(ValidationError, match="knots"):
             fit_h(m, point_region(np.array([m.beta1, m.sigma1])), 1.0, knots=4)
-
-
-class TestLayerBackend:
-    def test_time1_layer_is_closed_form(self):
-        m = paper_model()
-        rm = RiskMeasureSpec(VAR, 0.05)
-        backend = GaussianLayerBackend(m, n=4000, seed=0)
-        liab = AdaptedProcess(name="L", values={1: np.zeros(1), 2: np.zeros(1)})
-        cf = CashFlowSpec(liability=liab)
-        out = value_multiprior(cf, rm, GaussianStepFamily(m), [m.theta], backend)
-        c = gaussian_c(rm)
-        base = _p_sample(4000, 0)
-        c01 = m.beta0 + m.sigma0 * base.eps_01
-        g = closed_form_g(np.array([m.beta1, m.sigma1]), c01, m, c)
-        np.testing.assert_allclose(out.C[1], g, atol=1e-12)
-        np.testing.assert_allclose(out.R[1], r1_closed_form(c01, m, c), atol=1e-12)
-        np.testing.assert_allclose(out.V[1], out.R[1] - out.C[1], atol=1e-12)
-
-    def test_matches_single_theta_value(self):
-        m = paper_model()
-        rm = RiskMeasureSpec(VAR, 0.05)
-        backend = GaussianLayerBackend(m, n=4000, seed=0)
-        liab = AdaptedProcess(name="L", values={1: np.zeros(1), 2: np.zeros(1)})
-        out = value_multiprior(
-            CashFlowSpec(liability=liab), rm, GaussianStepFamily(m), [m.theta], backend
-        )
-        base = _p_sample(4000, 0)
-        direct = _value_single_theta(m, rm, m.theta, base, gaussian_c(rm))
-        assert abs(out.v0 - float(direct)) < 1e-12
-
-    def test_rejects_wrong_grid_shape(self):
-        backend = GaussianLayerBackend(paper_model(), n=4000, seed=0)
-        with pytest.raises(ValidationError, match="4-dimensional"):
-            backend.value_multiprior(None, RiskMeasureSpec(VAR, 0.05), None, [[1.0, 2.0]])
 
 
 class TestTableAndFigure:

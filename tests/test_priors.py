@@ -5,21 +5,28 @@ import pytest
 
 from ambival.errors import ValidationError
 from ambival.priors import (
+    DensityFamily,
     DensityProcess,
-    ExplicitFactorFamily,
-    ExponentialTiltFamily,
     boundary_grid,
     density_process,
-    density_step,
     ellipsoid_region,
     interior_grid,
-    mix,
     paste,
     point_region,
     project_region,
 )
-from ambival.scenario import StoppingTime, build_lattice
+from ambival.scenario import StoppingTime
 from conftest import make_instance
+
+
+class ExplicitFactorFamily(DensityFamily):
+    """Lattice family with hand-specified factor arrays per (theta, level)."""
+
+    def __init__(self, tables):
+        self.tables = {k: [np.asarray(a, dtype=np.float64) for a in v] for k, v in tables.items()}
+
+    def factors(self, t, theta):
+        return self.tables[theta][t - 1]
 
 
 class TestDensityProcess:
@@ -31,8 +38,7 @@ class TestDensityProcess:
 
     def test_explicit_hand_factors(self, binomial_lattice):
         family = ExplicitFactorFamily(
-            binomial_lattice,
-            {"a": [np.array([1.2, 0.8]), np.array([0.9, 1.1, 0.9, 1.1])]},
+            {"a": [np.array([1.2, 0.8]), np.array([0.9, 1.1, 0.9, 1.1])]}
         )
         d = density_process(family, "a", binomial_lattice)
         np.testing.assert_allclose(d.values[2], [1.08, 1.32, 0.72, 0.88])
@@ -72,17 +78,6 @@ class TestDensityProcess:
         lattice, _, family, grid = make_instance(rng, 2, 2)
         with pytest.raises(ValidationError, match="adapted"):
             density_process(family, {1: grid[0], 2: [0.1, 0.2, 0.3, 0.4]}, lattice)
-
-    def test_density_step_positivity_guard(self, rng):
-        lattice, _, family, _ = make_instance(rng, 1, 3)
-
-        class Bad(ExponentialTiltFamily):
-            def step(self, t, theta, context):
-                return -1.0
-
-        bad = Bad(lattice, family.scores)
-        with pytest.raises(ValidationError, match="positive"):
-            density_step(bad, 1, 0.0)
 
 
 class TestPasting:
@@ -124,15 +119,6 @@ class TestPasting:
         tau = StoppingTime.constant(lattice, lattice.horizon + 1)
         with pytest.raises(ValidationError, match="bounded"):
             paste(d1, d1, tau)
-
-    def test_mix_stays_valid(self, rng):
-        lattice, _, family, grid = make_instance(rng, 2, 3)
-        d1 = density_process(family, grid[0], lattice)
-        d2 = density_process(family, grid[2], lattice)
-        d = mix(d1, d2, 0.3)
-        np.testing.assert_allclose(d.values[2], 0.3 * d1.values[2] + 0.7 * d2.values[2])
-        with pytest.raises(ValidationError, match="weight"):
-            mix(d1, d2, 1.5)
 
 
 class TestRegions:

@@ -1,4 +1,4 @@
-"""Lattice, adapted-process, stopping-time and path-sample backends."""
+"""Lattice, adapted processes, stopping times and seeded innovations."""
 
 import numpy as np
 import pytest
@@ -7,14 +7,11 @@ from ambival.errors import ValidationError
 from ambival.scenario import (
     AdaptedProcess,
     InnovationSpec,
+    ScenarioLattice,
     StoppingTime,
     assert_adapted,
     build_lattice,
     cond_expectation,
-    lattice_from_tsv,
-    lattice_to_tsv,
-    sample_from_tsv,
-    sample_to_tsv,
     simulate_paths,
     substream,
 )
@@ -51,16 +48,17 @@ class TestBuildLattice:
         with pytest.raises(ValidationError, match="rows"):
             build_lattice([[[0.5, 0.5]], [[1.0]]])
 
-    def test_payload_round_trip(self):
-        lat = build_lattice(
-            [[[0.5, 0.5]]], payloads={"X": [None, [1.0, -1.0]]}
-        )
-        proc = lat.payload_process("X")
-        np.testing.assert_array_equal(proc.at(1), [1.0, -1.0])
+    def test_cond_sum_adds_each_parents_children(self):
+        lat = build_lattice([[[0.2, 0.3, 0.5]], [[0.5, 0.5], [1.0], [0.1, 0.9]]])
+        np.testing.assert_array_equal(lat.cond_sum(1, np.arange(5.0)), [1.0, 2.0, 7.0])
 
-    def test_rejects_payload_length_mismatch(self):
-        with pytest.raises(ValidationError, match="payload"):
-            build_lattice([[[0.5, 0.5]]], payloads={"X": [None, [1.0]]})
+    def test_child_offsets_are_always_derived(self, binomial_lattice):
+        with pytest.raises(TypeError):
+            ScenarioLattice(
+                horizon=1, parents=[[-1], [0, 0]], probs=[[1.0], [0.5, 0.5]],
+                child_offsets=[np.array([0, 1])],
+            )
+        np.testing.assert_array_equal(binomial_lattice.child_offsets[1], [0, 2, 4])
 
 
 class TestCondExpectation:
@@ -162,36 +160,9 @@ class TestPathSample:
         y = substream(3, 1, 2).standard_normal(5)
         np.testing.assert_array_equal(x, y)
 
-    def test_derived_column(self):
-        s = simulate_paths(InnovationSpec(("a",)), 10, seed=0)
-        s.add_derived("sq", s.column("a") ** 2)
-        np.testing.assert_array_equal(s.column("sq"), s.column("a") ** 2)
-        with pytest.raises(ValidationError, match="shape"):
-            s.add_derived("bad", np.zeros(3))
-
     def test_rejects_bad_specs(self):
         with pytest.raises(ValidationError):
             InnovationSpec(("a", "a"))
         with pytest.raises(ValidationError):
-            InnovationSpec((), family="normal")
-        with pytest.raises(ValidationError):
-            InnovationSpec(("a",), family="uniform")
+            InnovationSpec(())
 
-
-class TestSerialization:
-    def test_lattice_round_trip(self, rng):
-        lat = make_lattice(rng, 2, 3)
-        lat.payloads["X"] = [None, rng.normal(size=3), rng.normal(size=9)]
-        back = lattice_from_tsv(lattice_to_tsv(lat))
-        assert back.horizon == lat.horizon
-        for t in range(3):
-            np.testing.assert_array_equal(back.parents[t], lat.parents[t])
-            np.testing.assert_array_equal(back.probs[t], lat.probs[t])
-        for t in (1, 2):
-            np.testing.assert_array_equal(back.payloads["X"][t], lat.payloads["X"][t])
-
-    def test_sample_round_trip(self):
-        s = simulate_paths(InnovationSpec(("a", "b")), 25, seed=4)
-        back = sample_from_tsv(sample_to_tsv(s))
-        np.testing.assert_array_equal(back.draws, s.draws)
-        assert back.spec.columns == s.spec.columns

@@ -5,12 +5,11 @@ import pytest
 
 from ambival.errors import ValidationError
 from ambival.oracle import snell_bruteforce
+from ambival.priors import ExponentialTiltFamily
 from ambival.riskmeasures import AVAR, VAR, RiskMeasureSpec, apply_discrete
 from ambival.scenario import AdaptedProcess, build_lattice, cond_expectation
 from ambival.valuation import (
     CashFlowSpec,
-    bounds_csv_row,
-    liability_value,
     lower_bound,
     optimal_default_times,
     payoff_process,
@@ -181,11 +180,25 @@ class TestRecursion:
             value_singleprior(make_cf(payload), RiskMeasureSpec(VAR, 0.1), family, 0.5, lattice)
 
     def test_sample_backend_without_layer_is_rejected(self, rng):
+        # only a lattice carries the conditional layers the recursion needs
         lattice, payload, family, grid = make_instance(rng, 1, 3)
-        with pytest.raises(ValidationError, match="conditional layer unavailable"):
+        with pytest.raises(ValidationError, match="needs a ScenarioLattice"):
             value_multiprior(
                 make_cf(payload), RiskMeasureSpec(VAR, 0.1), family, grid, object()
             )
+
+    def test_rejects_cash_flow_with_too_few_values(self, binomial_lattice):
+        # one value at time 1 on a two-node level must not be broadcast
+        cf = make_cf({1: np.array([0.3]), 2: np.array([0.5])})
+        family = ExponentialTiltFamily(binomial_lattice, [np.zeros(n) for n in (1, 2, 4)])
+        with pytest.raises(ValidationError, match="expected 2"):
+            value_multiprior(cf, RiskMeasureSpec(VAR, 0.1), family, [0.0], binomial_lattice)
+
+    def test_rejects_cash_flow_with_too_many_values(self, binomial_lattice):
+        cf = make_cf({1: np.zeros(3), 2: np.zeros(4)})
+        family = ExponentialTiltFamily(binomial_lattice, [np.zeros(n) for n in (1, 2, 4)])
+        with pytest.raises(ValidationError, match="expected 2"):
+            value_multiprior(cf, RiskMeasureSpec(VAR, 0.1), family, [0.0], binomial_lattice)
 
     def test_grid_enlargement_never_lowers_the_value(self, rng):
         for trial in range(10):
@@ -245,16 +258,9 @@ class TestBounds:
     def test_upper_bound_constant_priors(self, rng):
         lattice, payload, family, grid = make_instance(rng, 2, 3)
         cf = make_cf(payload)
-        hi_const = upper_bound(cf, family, grid, lattice=lattice)
+        hi_const = upper_bound(cf, family, grid, lattice)
         hi_rect = rectangular_upper(lattice, family, grid, cf)
         assert hi_const <= hi_rect + 1e-12
-
-    def test_upper_bound_objective_mode(self):
-        assert upper_bound(None, None, [1.0, 2.0, 3.0], objective=lambda t: t * t) == 9.0
-
-    def test_upper_bound_needs_inputs(self):
-        with pytest.raises(ValidationError, match="lattice mode"):
-            upper_bound(None, None, [1.0])
 
 
 class TestDefaultTimes:
@@ -311,8 +317,3 @@ class TestDiagnostics:
         text = out.to_keyvalue()
         assert "horizon = 1" in text
         assert "R_0 = " in text and "V_0 = " in text
-
-    def test_liability_value_and_csv_row(self):
-        assert liability_value(0.5, 10.0) == 10.5
-        row = bounds_csv_row("CASE1", 0.1, 0.05, 1.25, 1.5)
-        assert row == "CASE1,0.1,0.05,1.25,1.5"
