@@ -97,23 +97,23 @@ class RunConfig:
         return "\n".join(lines) + "\n"
 
 
-_FIELD_TYPES = {f.name: f.type for f in fields(RunConfig)}
-_INT_KEYS = {"seed", "n", "case", "threads", "m", "knots", "cloud_n_rep", "i0"}
-_FLOAT_KEYS = {"p", "q", "beta0", "sigma0", "beta1", "sigma1"}
+_DEFAULTS = {f.name: f.default for f in fields(RunConfig)}
 
 
-def _coerce(key: str, raw: str):
-    if key in _INT_KEYS:
-        try:
-            return int(raw)
-        except ValueError as exc:
-            raise ValidationError(f"key {key!r} needs an integer, got {raw!r}") from exc
-    if key in _FLOAT_KEYS:
-        try:
-            return float(raw)
-        except ValueError as exc:
-            raise ValidationError(f"key {key!r} needs a number, got {raw!r}") from exc
-    return raw
+def _coerce(key: str, raw: object, where: str = ""):
+    """Check ``key`` and convert a string ``raw`` to the type of its default value."""
+    if key not in _DEFAULTS:
+        raise ValidationError(
+            f"{where}unknown key {key!r}; valid keys: {', '.join(sorted(_DEFAULTS))}"
+        )
+    if not isinstance(raw, str):
+        return raw  # typed already by argparse or the caller
+    kind = type(_DEFAULTS[key])
+    try:
+        return kind(raw)
+    except ValueError as exc:
+        need = "an integer" if kind is int else "a number"
+        raise ValidationError(f"key {key!r} needs {need}, got {raw!r}") from exc
 
 
 def parse_config(
@@ -121,7 +121,6 @@ def parse_config(
 ) -> RunConfig:
     """Read the key-value config file and apply flag overrides (flags win)."""
     values: Dict[str, object] = {}
-    valid = set(_FIELD_TYPES)
     if path is not None:
         text = Path(path).read_text()
         for lineno, line in enumerate(text.splitlines(), start=1):
@@ -131,18 +130,9 @@ def parse_config(
             if "=" not in line:
                 raise ValidationError(f"{path}:{lineno}: expected 'key = value'")
             key, raw = (part.strip() for part in line.split("=", 1))
-            if key not in valid:
-                raise ValidationError(
-                    f"{path}:{lineno}: unknown key {key!r}; valid keys: "
-                    f"{', '.join(sorted(valid))}"
-                )
-            values[key] = _coerce(key, raw)
+            values[key] = _coerce(key, raw, f"{path}:{lineno}: ")
     for key, raw in (overrides or {}).items():
-        if key not in valid:
-            raise ValidationError(
-                f"unknown key {key!r}; valid keys: {', '.join(sorted(valid))}"
-            )
-        values[key] = _coerce(key, raw) if isinstance(raw, str) else raw
+        values[key] = _coerce(key, raw)
     return RunConfig(**values)
 
 
@@ -162,7 +152,8 @@ def _matrix_lines(name: str, mat: np.ndarray) -> List[str]:
 def _cmd_table1(cfg: RunConfig, out_dir: Path) -> None:
     result = table1(
         model=cfg.model(), n=cfg.n, seed=cfg.seed, cloud_n_rep=cfg.cloud_n_rep,
-        kind=cfg.kind, c1_rule=cfg.c1_rule, threads=cfg.threads,
+        kind=cfg.kind, c1_rule=cfg.c1_rule, m_boundary=cfg.m, knots=cfg.knots,
+        threads=cfg.threads,
     )
     _write(out_dir, "table1.csv", table1_csv(result))
     manifest = cfg.to_manifest()

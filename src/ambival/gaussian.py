@@ -30,17 +30,16 @@ import scipy.linalg
 import scipy.optimize
 from scipy.special import ndtr
 
-from .errors import NumericalError, ValidationError
+from .errors import ValidationError
 from .priors import (
     DensityFamily,
     ParamRegion,
     boundary_grid,
     ellipsoid_region,
     interior_grid,
-    point_region,
     project_region,
 )
-from .riskmeasures import AVAR, VAR, RiskMeasureSpec, gaussian_c
+from .riskmeasures import VAR, RiskMeasureSpec, apply_empirical, gaussian_c
 from .scenario import InnovationSpec, substream
 
 logger = logging.getLogger(__name__)
@@ -51,8 +50,8 @@ C1_INF = "INF"
 C1_SUP = "SUP"
 
 _SIGMA_FLOOR = 1e-12
-_TIE_EPS = 1e-9
 _CHUNK = 32
+_M_SEARCH = 512  # coarse full-dimensional boundary grid of the worst-case searches
 
 # coordinate layout of theta vectors
 _B0, _S0, _B1, _S1 = 0, 1, 2, 3
@@ -124,10 +123,8 @@ class CaseConfig:
     n: int = 10**5
     seed: int = 0
     m_boundary: int = 360  # 2-dim projected boundaries
-    m_search: int = 512  # coarse full-dimensional boundary search
     knots: int = 64
     c1_rule: str = C1_INF
-    refine: bool = True
     threads: int = 1
 
     def __post_init__(self) -> None:
@@ -317,29 +314,6 @@ class GaussianStepFamily(DensityFamily):
 
 
 # ---------------------------------------------------------------------------
-# empirical risk measures on row batches
-# ---------------------------------------------------------------------------
-
-
-def _rho_rows(rm: RiskMeasureSpec, y: np.ndarray) -> np.ndarray:
-    """Empirical risk measure of each row of positions ``y`` (losses ``-y``).
-
-    Same order-statistic and tail-average conventions as the scalar
-    estimators; vectorized with a partial sort per row.
-    """
-    losses = -np.asarray(y, dtype=np.float64)
-    n = losses.shape[-1]
-    if rm.kind == VAR:
-        k = int(np.ceil((1.0 - rm.level) * n - _TIE_EPS))
-        k = min(max(k, 1), n)
-        return np.partition(losses, k - 1, axis=-1)[..., k - 1]
-    srt = np.sort(losses, axis=-1)[..., ::-1]
-    cum_before = np.arange(n) / n
-    tail_w = np.clip(rm.level - cum_before, 0.0, 1.0 / n)
-    return srt @ tail_w / rm.level
-
-
-# ---------------------------------------------------------------------------
 # worst-case parameter searches
 # ---------------------------------------------------------------------------
 
@@ -367,7 +341,6 @@ def _boundary_search(
     maximize: bool,
     m: int,
     positive: Sequence[int],
-    refine: bool = True,
 ) -> Tuple[float, np.ndarray]:
     """Optimize a vectorized objective over the region boundary.
 
@@ -383,8 +356,6 @@ def _boundary_search(
     vals = objective(grid.points)
     idx = int(np.argmax(vals)) if maximize else int(np.argmin(vals))
     best_val, best_theta = float(vals[idx]), grid.points[idx]
-    if not refine:
-        return best_val, best_theta
     k = region.dim
     r = math.sqrt(region.radius2)
     y = scipy.linalg.solve_triangular(region.chol, best_theta - region.center, lower=True)
@@ -467,7 +438,7 @@ def _value_single_theta(
     c01_q, y_base_q = _x1_plus_r1(model, thetas, base, c)
     g_p = closed_form_g(thetas[..., [_B1, _S1]][..., None, :], c01_p, model, c)
     g_q = closed_form_g(thetas[..., [_B1, _S1]][..., None, :], c01_q, model, c)
-    r0 = _rho_rows(rm, -(y_base_p - g_p))
+    r0 = apply_empirical(rm, -(y_base_p - g_p))
     c0 = np.maximum(r0[..., None] - (y_base_q - g_q), 0.0).mean(axis=-1)
     return r0 - c0
 
@@ -547,12 +518,7 @@ def case1_bounds(
 
     chunked = _chunked_objective(obj, cfg.threads)
     lower, arg = _boundary_search(
-        region,
-        chunked,
-        maximize=True,
-        m=cfg.m_search,
-        positive=(_S0, _S1),
-        refine=cfg.refine,
+        region, chunked, maximize=True, m=_M_SEARCH, positive=(_S0, _S1)
     )
     if not region.is_point:
         # Boundary attainment of the supremum is plausible but unproven; a
@@ -582,7 +548,6 @@ class HFit:
 
     knots: np.ndarray
     values: np.ndarray
-    rule: str
     n_clamped: int = 0
 
     def __call__(self, c01: np.ndarray) -> np.ndarray:
@@ -618,7 +583,7 @@ def fit_h(
     grid = boundary_grid(proj, m_boundary, positive=(1,)).points  # (m, 2)
     table = closed_form_g(grid[:, None, :], xs[None, :], model, c)  # (m, knots)
     values = table.min(axis=0) if rule == C1_INF else table.max(axis=0)
-    return HFit(knots=xs, values=values, rule=rule)
+    return HFit(knots=xs, values=values)
 
 
 def case2_upper(model: GaussianModel, region: ParamRegion) -> float:
@@ -672,7 +637,7 @@ def case2_value(
     h = fit_h(model, proj, c, m_boundary=cfg.m_boundary, knots=cfg.knots, rule=cfg.c1_rule)
 
     c01_p, y_base_p = _x1_plus_r1(model, model.theta, base, c)
-    r0 = float(_rho_rows(cfg.rm, -(y_base_p - h(c01_p))))
+    r0 = float(apply_empirical(cfg.rm, -(y_base_p - h(c01_p))))
 
     def deficit(thetas: np.ndarray) -> np.ndarray:
         c01_q, y_base_q = _x1_plus_r1(model, thetas, base, c)
@@ -683,9 +648,8 @@ def case2_value(
         region,
         _chunked_objective(deficit, cfg.threads),
         maximize=False,
-        m=cfg.m_search,
+        m=_M_SEARCH,
         positive=(_S0, _S1),
-        refine=cfg.refine,
     )
     return r0 - c0, case2_upper(model, region), arg
 
@@ -720,8 +684,8 @@ def table1(
     cloud_n_rep: int = 10**5,
     kind: str = VAR,
     c1_rule: str = C1_INF,
-    m_search: int = 512,
-    refine: bool = True,
+    m_boundary: int = 360,
+    knots: int = 64,
     threads: int = 1,
 ) -> Table1Result:
     """Lower and upper time-0 bounds over the (p, q) grid for both cases.
@@ -744,9 +708,9 @@ def table1(
                     p=p,
                     n=n,
                     seed=seed,
-                    m_search=m_search,
+                    m_boundary=m_boundary,
+                    knots=knots,
                     c1_rule=c1_rule,
-                    refine=refine,
                     threads=threads,
                 )
                 if case == CASE1:

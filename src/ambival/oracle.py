@@ -13,13 +13,14 @@ at most a few thousand enumerable objects; hard caps reject anything larger.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Any, Dict, Iterator, List, Sequence, Tuple
 
 import numpy as np
 
 from .errors import CapExceededError, ValidationError
 from .priors import DensityFamily, ExponentialTiltFamily, Selection, density_process
-from .scenario import ScenarioLattice, StoppingTime, build_lattice
+from .scenario import AdaptedProcess, ScenarioLattice, StoppingTime, build_lattice
+from .valuation import payoff_process
 
 DEFAULT_CAP = 10**6
 
@@ -168,7 +169,7 @@ class OracleResult:
     worst_selection: MeasureSelection
     n_stopping_times: int
     n_selections: int
-    payoff_table: Optional[np.ndarray] = None  # (n_selections, n_stopping_times)
+    payoff_table: np.ndarray  # (n_selections, n_stopping_times)
 
 
 def snell_recursion(
@@ -199,28 +200,6 @@ def snell_recursion(
     return float(u[0])
 
 
-def _payoff_by_level(
-    lattice: ScenarioLattice, r_levels: Dict[int, np.ndarray], x_levels: Dict[int, np.ndarray]
-) -> List[np.ndarray]:
-    """``H_tau`` for tau = 0..T+1, both on its own level and lifted to level T.
-
-    ``H_0 = H_1 = 0`` and ``H_{tau}`` accumulates the released surplus
-    ``R_{s-1} - R_s - X_s`` for ``s < tau``; column ``tau`` is the payoff of
-    stopping at ``tau`` along each terminal path.
-    """
-    T = lattice.horizon
-    h = np.zeros(1)  # H_1 at level 0
-    by_level: List[np.ndarray] = [np.zeros(1), h]
-    cols = [np.zeros(lattice.n_nodes(T)), lattice.lift(h, 0, T)]
-    for t in range(1, T + 1):
-        h = h[lattice.parents[t]] + (
-            r_levels[t - 1][lattice.parents[t]] - r_levels[t] - x_levels[t]
-        )  # H_{t+1} at level t
-        by_level.append(h)
-        cols.append(lattice.lift(h, t, T))
-    return by_level, cols  # index tau in 0..T+1
-
-
 def snell_bruteforce(
     lattice: ScenarioLattice,
     family: DensityFamily,
@@ -228,20 +207,19 @@ def snell_bruteforce(
     r_levels: Dict[int, np.ndarray],
     x_levels: Dict[int, np.ndarray],
     cap: int = DEFAULT_CAP,
-    keep_table: bool = False,
 ) -> OracleResult:
     """Exhaustive sup-inf of the expected owner's payoff at time 0.
 
     Args:
         r_levels: capital requirement per level ``t`` (0..T).
         x_levels: residual cash flow per level ``t`` (1..T).
-        keep_table: retain the full (selection x rule) payoff matrix.
 
     Returns the sup over stopping rules of the inf over adapted selections,
-    the inf-sup, and the extremal objects.  Expectations are evaluated as a
-    single terminal-weight matrix product: each selection contributes the
-    path weights ``P(path) D_T(path)`` and each rule the terminal payoff
-    column ``H_tau(path)``.
+    the inf-sup, the extremal objects and the full (selection x rule) payoff
+    matrix.  Expectations are evaluated as a single terminal-weight matrix
+    product: each selection contributes the path weights
+    ``P(path) D_T(path)`` and each rule the terminal payoff column
+    ``H_tau(path)``.
     """
     T = lattice.horizon
     taus = enumerate_stopping_times(lattice, 0, 0, cap=cap)
@@ -250,7 +228,16 @@ def snell_bruteforce(
         raise CapExceededError(
             f"{len(taus)} x {len(sels)} payoff evaluations exceed the cap of {cap}"
         )
-    by_level, cols = _payoff_by_level(lattice, r_levels, x_levels)
+    h = payoff_process(
+        AdaptedProcess(name="R", values=r_levels),
+        AdaptedProcess(name="X", values=x_levels),
+        lattice,
+    )
+    # H_tau for tau = 0..T+1 on its own level (H_0 = 0 is stopping at once)
+    # and lifted to level T: column tau is the payoff of stopping at tau
+    # along each terminal path.
+    by_level = [np.zeros(1)] + [h.at(tau) for tau in range(1, T + 2)]
+    cols = [lattice.lift(v, max(tau - 1, 0), T) for tau, v in enumerate(by_level)]
     n_leaf = lattice.n_nodes(T)
     # G[leaf, i] = payoff of rule i along that terminal path
     G = np.empty((n_leaf, len(taus)))
@@ -276,7 +263,7 @@ def snell_bruteforce(
         worst_selection=sels[worst],
         n_stopping_times=len(taus),
         n_selections=len(sels),
-        payoff_table=table if keep_table else None,
+        payoff_table=table,
     )
 
 

@@ -14,7 +14,7 @@ radius) and deterministic boundary/interior grids.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Sequence, Union
 
 import numpy as np
@@ -36,18 +36,14 @@ _MAX_DROP_FRACTION = 0.10
 class DensityFamily:
     """One-step density factors ``f_t(theta)``.
 
-    Subclasses implement :meth:`factors` (one factor per time-``t`` lattice
-    node) or :meth:`step` (pointwise evaluation against a caller-supplied
-    innovation context).
+    Lattice families implement :meth:`factors`: one factor per time-``t``
+    lattice node.
     """
 
     dim: int = 1
     region: Optional["ParamRegion"] = None
 
     def factors(self, t: int, theta: Any) -> np.ndarray:
-        raise NotImplementedError
-
-    def step(self, t: int, theta: Any, context: Any) -> float:
         raise NotImplementedError
 
 
@@ -150,7 +146,7 @@ def _selection_thetas(
 
 
 def density_process(
-    family: DensityFamily, selection: Selection, lattice: Optional[ScenarioLattice] = None
+    family: DensityFamily, selection: Selection, lattice: ScenarioLattice
 ) -> DensityProcess:
     """Density process of an adapted parameter selection.
 
@@ -159,18 +155,15 @@ def density_process(
     (the rectangular-hull case).  The result is validated as a positive
     martingale starting at 1.
     """
-    lat = lattice if lattice is not None else getattr(family, "lattice", None)
-    if lat is None:
-        raise ValidationError("density_process needs a lattice backend")
     values = [np.ones(1)]
-    for t in range(1, lat.horizon + 1):
-        thetas = _selection_thetas(lat, selection, t)
+    for t in range(1, lattice.horizon + 1):
+        thetas = _selection_thetas(lattice, selection, t)
         if family.region is not None:
             for th in thetas:
                 if not family.region.membership(th):
                     raise ValidationError(f"selected theta {th!r} outside the region")
         unique: Dict[Any, np.ndarray] = {}
-        factor = np.empty(lat.n_nodes(t))
+        factor = np.empty(lattice.n_nodes(t))
         for j, th in enumerate(thetas):
             try:
                 key = th
@@ -179,10 +172,10 @@ def density_process(
                 key = id(th)
             if key not in unique:
                 unique[key] = np.asarray(family.factors(t, th), dtype=np.float64)
-            children = lat.children(t - 1, j)
+            children = lattice.children(t - 1, j)
             factor[children] = unique[key][children]
-        values.append(values[-1][lat.parents[t]] * factor)
-    return DensityProcess(lattice=lat, values=values)
+        values.append(values[-1][lattice.parents[t]] * factor)
+    return DensityProcess(lattice=lattice, values=values)
 
 
 def paste(d1: DensityProcess, d2: DensityProcess, tau: StoppingTime) -> DensityProcess:

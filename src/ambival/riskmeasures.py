@@ -1,10 +1,13 @@
 """Conditional monetary risk measures: value-at-risk and average value-at-risk.
 
 Sign convention: every function takes the position ``Z`` (a gain) and owns the
-loss transform ``-Z`` internally.  The quantile convention is the upper order
-statistic at index ``ceil((1 - q) n)``, i.e. the essential-infimum quantile of
-the empirical loss law; tail averages are computed exactly with a fractional
-weight on the marginal observation.
+loss transform ``-Z`` internally.  Two estimators share one convention:
+``apply_discrete`` measures a finite law given by atoms and probabilities (the
+lattice kernel), ``apply_empirical`` measures each row of a batch of equally
+weighted samples.  The quantile is the upper order statistic at index
+``ceil((1 - q) n)``, i.e. the essential-infimum quantile of the loss law; tail
+averages are computed exactly with a fractional weight on the marginal
+observation.
 """
 
 from __future__ import annotations
@@ -19,7 +22,7 @@ from .errors import ValidationError
 VAR = "VAR"
 AVAR = "AVAR"
 
-_TIE_EPS = 1e-9
+_TIE_EPS = 1e-9  # keeps ceil((1 - q) n) from rounding up when (1 - q) n is whole
 
 
 @dataclass(frozen=True)
@@ -70,23 +73,6 @@ def avar_discrete(values: np.ndarray, probs: np.ndarray, q: float) -> float:
     return float(np.dot(tail_w, sorted_losses) / q)
 
 
-def var_empirical(sample: np.ndarray, q: float) -> float:
-    """Empirical value-at-risk: the ``ceil((1 - q) n)``-th loss order statistic."""
-    spec = RiskMeasureSpec(VAR, q)
-    losses = np.sort(_as_losses(sample))
-    n = len(losses)
-    k = int(np.ceil((1.0 - spec.level) * n - _TIE_EPS))
-    return float(losses[min(max(k, 1), n) - 1])
-
-
-def avar_empirical(sample: np.ndarray, q: float) -> float:
-    """Empirical average value-at-risk (exact tail mean, fractional top atom)."""
-    spec = RiskMeasureSpec(AVAR, q)
-    losses = _as_losses(sample)
-    n = len(losses)
-    return avar_discrete(-losses, np.full(n, 1.0 / n), spec.level)
-
-
 def gaussian_c(spec: RiskMeasureSpec) -> float:
     """Risk measure applied to a standard normal position: the constant ``c``.
 
@@ -101,10 +87,24 @@ def gaussian_c(spec: RiskMeasureSpec) -> float:
     return float(norm.pdf(z) / spec.level)
 
 
-def apply_empirical(spec: RiskMeasureSpec, sample: np.ndarray) -> float:
+def apply_empirical(spec: RiskMeasureSpec, y: np.ndarray) -> np.ndarray:
+    """Empirical risk measure of each row of positions ``y`` (over the last axis).
+
+    V@R is the ``ceil((1 - q) n)``-th loss order statistic of the row, found
+    by a partial sort; AV@R is the exact mean of the upper-``q`` loss tail with
+    a fractional weight on the marginal order statistic.  A 1-D sample gives a
+    scalar.
+    """
+    losses = _as_losses(y)
+    n = losses.shape[-1]
     if spec.kind == VAR:
-        return var_empirical(sample, spec.level)
-    return avar_empirical(sample, spec.level)
+        k = int(np.ceil((1.0 - spec.level) * n - _TIE_EPS))
+        k = min(max(k, 1), n)
+        return np.partition(losses, k - 1, axis=-1)[..., k - 1]
+    srt = np.sort(losses, axis=-1)[..., ::-1]
+    cum_before = np.arange(n) / n
+    tail_w = np.clip(spec.level - cum_before, 0.0, 1.0 / n)
+    return srt @ tail_w / spec.level
 
 
 def apply_discrete(spec: RiskMeasureSpec, values: np.ndarray, probs: np.ndarray) -> float:

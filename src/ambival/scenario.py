@@ -11,14 +11,13 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
 from .errors import ValidationError
 
 _PROB_TOL = 1e-12
-_WEIGHT_TOL = 1e-10
 _BLOCK = 1 << 16
 
 
@@ -205,40 +204,6 @@ def assert_adapted(lattice: ScenarioLattice, proc: AdaptedProcess) -> None:
             )
         if not np.all(np.isfinite(vals)):
             raise ValidationError(f"{proc.name!r}: non-finite value at time {t}")
-
-
-def cond_expectation(
-    lattice: ScenarioLattice,
-    values_next: np.ndarray,
-    t: int,
-    weights: Optional[np.ndarray] = None,
-) -> np.ndarray:
-    """Exact conditional expectation ``E_t`` of a level-``t + 1`` value array.
-
-    With ``weights`` (a one-step density factor per time-``t + 1`` node,
-    positive and with conditional mean 1 per parent), computes the reweighted
-    expectation ``E_t[w Y]`` realizing a change of measure.
-    """
-    if t < 0 or t >= lattice.horizon:
-        raise ValidationError(f"time {t} outside [0, {lattice.horizon - 1}]")
-    values_next = np.asarray(values_next, dtype=np.float64)
-    if len(values_next) != lattice.n_nodes(t + 1):
-        raise ValidationError(
-            f"expected {lattice.n_nodes(t + 1)} values at level {t + 1}, got {len(values_next)}"
-        )
-    p = lattice.probs[t + 1]
-    if weights is not None:
-        weights = np.asarray(weights, dtype=np.float64)
-        if np.any(weights <= 0.0):
-            raise ValidationError("density weights must be strictly positive")
-        means = lattice.cond_sum(t, p * weights)
-        if np.any(np.abs(means - 1.0) > _WEIGHT_TOL):
-            bad = int(np.argmax(np.abs(means - 1.0)))
-            raise ValidationError(
-                f"weight conditional mean {means[bad]:.12g} != 1 for node {bad} at level {t}"
-            )
-        p = p * weights
-    return lattice.cond_sum(t, p * values_next)
 
 
 # ---------------------------------------------------------------------------

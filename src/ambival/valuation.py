@@ -18,7 +18,6 @@ enters only through the worst-case conditional expectation in ``C_t``.
 
 from __future__ import annotations
 
-import io
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
@@ -28,9 +27,6 @@ from .errors import NumericalError, ValidationError
 from .priors import DensityFamily, density_process
 from .riskmeasures import RiskMeasureSpec, apply_discrete
 from .scenario import AdaptedProcess, ScenarioLattice, StoppingTime, assert_adapted
-
-INF = "INF"
-SUP = "SUP"
 
 
 @dataclass
@@ -94,15 +90,6 @@ class ValuationOutput:
     def c0(self) -> float:
         return float(self.C[0][0])
 
-    def to_keyvalue(self) -> str:
-        """Flat key-value record (one ``key = value`` line each)."""
-        buf = io.StringIO()
-        buf.write(f"horizon = {self.horizon}\n")
-        for t in sorted(self.R):
-            for name, levels in (("R", self.R), ("C", self.C), ("V", self.V)):
-                buf.write(f"{name}_{t} = {' '.join(repr(float(x)) for x in levels[t])}\n")
-        return buf.getvalue()
-
 
 def payoff_process(
     r_proc: AdaptedProcess, x_proc: AdaptedProcess, lattice: ScenarioLattice
@@ -145,17 +132,15 @@ def worst_case_cond_exp(
     grid: Sequence[Any],
     values_next: np.ndarray,
     t: int,
-    direction: str = INF,
 ) -> Tuple[np.ndarray, np.ndarray]:
-    """Optimize the reweighted conditional expectation over the parameter grid.
+    """Minimize the reweighted conditional expectation over the parameter grid.
 
-    Returns the per-state optimum and the arg-optimal grid index (ties broken
-    by the lowest index).
+    Returns the per-state minimum and the arg-minimal grid index (ties broken
+    by the lowest index).  The supremum of ``y`` is exactly the negated
+    infimum of ``-y``.
     """
     if len(grid) == 0:
         raise ValidationError("parameter grid must be nonempty")
-    if direction not in (INF, SUP):
-        raise ValidationError(f"unknown direction {direction!r}")
     p = lattice.probs[t + 1]
     table = np.empty((len(grid), lattice.n_nodes(t)))
     for i, theta in enumerate(grid):
@@ -167,32 +152,8 @@ def worst_case_cond_exp(
                 f"non-finite reweighted expectation at t={t}, state {bad}, theta={theta!r}"
             )
         table[i] = row
-    if direction == INF:
-        arg = np.argmin(table, axis=0)
-    else:
-        arg = np.argmax(table, axis=0)
+    arg = np.argmin(table, axis=0)
     return table[arg, np.arange(table.shape[1])], arg
-
-
-def recursion_step(
-    lattice: ScenarioLattice,
-    family: DensityFamily,
-    grid: Sequence[Any],
-    r_t: np.ndarray,
-    x_next: np.ndarray,
-    v_next: np.ndarray,
-    t: int,
-) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """One backward step: worst-case expected positive surplus and the net value.
-
-    Returns ``(C_t, V_t, theta_star_index)`` given the already computed
-    continuation value ``V_{t+1}`` and the capital requirement ``R_t``.
-    """
-    w = r_t[lattice.parents[t + 1]] - x_next - v_next
-    c_t, arg = worst_case_cond_exp(
-        lattice, family, grid, np.maximum(w, 0.0), t, direction=INF
-    )
-    return c_t, r_t - c_t, arg
 
 
 def value_multiprior(
@@ -226,9 +187,12 @@ def value_multiprior(
     for t in range(T - 1, -1, -1):
         y_next = cf.x(t + 1) + V[t + 1]
         R[t] = cond_risk(lattice, rm, -y_next, t)
-        C[t], V[t], theta_star[t] = recursion_step(
-            lattice, family, grid, R[t], cf.x(t + 1), V[t + 1], t
+        # worst-case expected positive surplus, then the net value
+        w = R[t][lattice.parents[t + 1]] - cf.x(t + 1) - V[t + 1]
+        C[t], theta_star[t] = worst_case_cond_exp(
+            lattice, family, grid, np.maximum(w, 0.0), t
         )
+        V[t] = R[t] - C[t]
         default_ind[t + 1] = (R[t][lattice.parents[t + 1]] - y_next) < 0.0
     return ValuationOutput(
         horizon=T,

@@ -25,11 +25,10 @@ from ambival.gaussian import (
     r1_closed_form,
     region_for,
     table1,
-    _rho_rows,
 )
 from ambival.oracle import random_suite, snell_bruteforce
 from ambival.priors import StoppingTime, density_process, paste, point_region
-from ambival.riskmeasures import AVAR, VAR, RiskMeasureSpec, gaussian_c
+from ambival.riskmeasures import AVAR, VAR, RiskMeasureSpec, apply_empirical, gaussian_c
 from ambival.scenario import AdaptedProcess, substream
 from ambival.valuation import CashFlowSpec, value_multiprior
 from conftest import make_instance
@@ -229,7 +228,7 @@ def test_criterion_5_closed_form_cross_checks():
             rm = RiskMeasureSpec(kind, q)
             c01 = float(rng.uniform(0.2, 1.2))
             x2 = model.v0 * (model.beta1 - 1.0) * c01 + np.sqrt(model.v0) * model.sigma1 * eps
-            estimates = _rho_rows(rm, -x2.reshape(n_batch, batch))
+            estimates = apply_empirical(rm, -x2.reshape(n_batch, batch))
             closed = r1_closed_form(c01, model, gaussian_c(rm))
             se = estimates.std(ddof=1) / np.sqrt(n_batch)
             if abs(estimates.mean() - closed) > 4.0 * se:

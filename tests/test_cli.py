@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+import ambival.gaussian
 from ambival.cli import RunConfig, main, parse_config
 from ambival.errors import ValidationError
 
@@ -101,6 +102,27 @@ class TestMain:
         lower, upper = float(cells[3]), float(cells[4])
         assert lower <= upper
         assert (tmp_path / "manifest.txt").exists()
+
+    def test_table1_passes_m_and_knots_to_the_h_table(self, tmp_path, monkeypatch):
+        seen = []
+        fit_h = ambival.gaussian.fit_h
+
+        def recording_fit_h(*args, **kwargs):
+            seen.append((kwargs["m_boundary"], kwargs["knots"]))
+            return fit_h(*args, **kwargs)
+
+        monkeypatch.setattr(ambival.gaussian, "fit_h", recording_fit_h)
+        rc = main(
+            [
+                "--command", "table1", "--n", "1000", "--out", str(tmp_path),
+                "--set", "cloud_n_rep=2000", "--set", "knots=16", "--set", "m=64",
+            ]
+        )
+        assert rc == 0
+        assert len(seen) == 12  # one h table per case-2 cell
+        assert set(seen) == {(64, 16)}
+        manifest = (tmp_path / "manifest.txt").read_text()
+        assert "m = 64\n" in manifest and "knots = 16\n" in manifest
 
     def test_figure1_outputs(self, tmp_path):
         rc = main(["--command", "figure1", "--out", str(tmp_path), "--seed", "2"])

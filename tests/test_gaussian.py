@@ -19,7 +19,6 @@ from ambival.gaussian import (
     GaussianStepFamily,
     Table1Result,
     _boundary_search,
-    _rho_rows,
     case1_bounds,
     case1_upper,
     case2_upper,
@@ -37,7 +36,7 @@ from ambival.gaussian import (
     table1_csv,
 )
 from ambival.priors import point_region, project_region
-from ambival.riskmeasures import AVAR, VAR, RiskMeasureSpec, avar_empirical, gaussian_c, var_empirical
+from ambival.riskmeasures import VAR, RiskMeasureSpec, apply_empirical, gaussian_c
 
 
 class TestModel:
@@ -135,7 +134,7 @@ class TestClosedForms:
         rng = np.random.default_rng(5)
         c01 = 0.7
         x2 = m.v0 * (m.beta1 - 1.0) * c01 + math.sqrt(m.v0) * m.sigma1 * rng.standard_normal(10**5)
-        assert abs(var_empirical(-x2, q) - r1_closed_form(c01, m, c)) < 0.01
+        assert abs(apply_empirical(RiskMeasureSpec(VAR, q), -x2) - r1_closed_form(c01, m, c)) < 0.01
 
     def test_g_at_zero_drift(self):
         # with theta1 = base parameters and c = 0 the kink sits at the mean
@@ -203,18 +202,6 @@ class TestStepFamily:
             fam.step(2, np.array([0.6, 0.2, 1.5, 0.0]), {})
 
 
-class TestRowRiskMeasures:
-    def test_matches_scalar_estimators(self):
-        rng = np.random.default_rng(4)
-        y = rng.normal(size=(5, 997))
-        for q in (0.05, 0.1, 0.5):
-            var_rows = _rho_rows(RiskMeasureSpec(VAR, q), y)
-            avar_rows = _rho_rows(RiskMeasureSpec(AVAR, q), y)
-            for i in range(5):
-                assert var_rows[i] == var_empirical(y[i], q)
-                assert abs(avar_rows[i] - avar_empirical(y[i], q)) < 1e-12
-
-
 class TestBoundarySearch:
     def test_linear_objective_exact_optimum(self):
         from ambival.priors import ellipsoid_region
@@ -246,8 +233,7 @@ class TestCaseBounds:
 
     def fast_cfg(self, case, q=0.05, p=0.1, rule=C1_INF):
         return CaseConfig(
-            case=case, rm=RiskMeasureSpec(VAR, q), p=p, n=4000, seed=0,
-            m_search=64, c1_rule=rule, refine=False,
+            case=case, rm=RiskMeasureSpec(VAR, q), p=p, n=4000, seed=0, c1_rule=rule,
         )
 
     def test_case1_upper_at_degenerate_region(self):

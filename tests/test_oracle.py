@@ -141,7 +141,7 @@ class TestBruteForce:
         lattice, payload, family, grid = make_instance(rng, 1, 3)
         rm = RiskMeasureSpec(VAR, 0.1)
         cf, out = self.payoff_inputs(rng, lattice, payload, family, grid, rm)
-        res = snell_bruteforce(lattice, family, grid, out.R, payload, keep_table=True)
+        res = snell_bruteforce(lattice, family, grid, out.R, payload)
         assert res.payoff_table.shape == (res.n_selections, res.n_stopping_times)
         np.testing.assert_allclose(
             res.payoff_table.min(axis=0).max(), res.sup_inf, atol=1e-15

@@ -13,10 +13,8 @@ from ambival.riskmeasures import (
     apply_discrete,
     apply_empirical,
     avar_discrete,
-    avar_empirical,
     gaussian_c,
     var_discrete,
-    var_empirical,
 )
 
 finite_floats = st.floats(
@@ -24,6 +22,14 @@ finite_floats = st.floats(
 )
 samples = st.lists(finite_floats, min_size=1, max_size=50).map(np.array)
 levels = st.sampled_from([0.01, 0.05, 0.1, 0.25, 0.5, 0.9])
+
+
+def var_empirical(sample, q):
+    return apply_empirical(RiskMeasureSpec(VAR, q), sample)
+
+
+def avar_empirical(sample, q):
+    return apply_empirical(RiskMeasureSpec(AVAR, q), sample)
 
 
 class TestSpec:
@@ -86,10 +92,35 @@ class TestValidation:
     def test_rejects_empty_sample(self):
         with pytest.raises(ValidationError, match="empty"):
             var_empirical(np.array([]), 0.1)
+        with pytest.raises(ValidationError, match="empty"):
+            avar_empirical(np.empty((3, 0)), 0.1)
 
     def test_rejects_non_finite(self):
         with pytest.raises(ValidationError, match="finite"):
             avar_empirical(np.array([1.0, np.nan]), 0.1)
+
+    @pytest.mark.parametrize("kind", [VAR, AVAR])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite_anywhere_in_a_batch(self, kind, bad):
+        y = np.random.default_rng(0).normal(size=(2, 1000))
+        for row, col in ((0, 0), (0, 517), (1, 999)):
+            z = y.copy()
+            z[row, col] = bad
+            with pytest.raises(ValidationError, match="finite"):
+                apply_empirical(RiskMeasureSpec(kind, 0.05), z)
+
+
+class TestBatch:
+    def test_batch_matches_rows_bit_for_bit(self):
+        y = np.random.default_rng(4).normal(size=(5, 997))
+        for kind in (VAR, AVAR):
+            for q in (0.005, 0.05, 0.1, 0.5):
+                rm = RiskMeasureSpec(kind, q)
+                batch = apply_empirical(rm, y)
+                assert batch.shape == (5,)
+                rows = [apply_empirical(rm, row) for row in y]
+                assert all(np.ndim(r) == 0 for r in rows)
+                np.testing.assert_array_equal(batch, rows)
 
 
 class TestAxioms:
@@ -130,8 +161,9 @@ class TestAxioms:
 def test_apply_dispatch():
     sample = np.array([1.0, -1.0, 3.0, -3.0])
     probs = np.full(4, 0.25)
-    assert apply_empirical(RiskMeasureSpec(VAR, 0.3), sample) == var_empirical(sample, 0.3)
-    assert apply_empirical(RiskMeasureSpec(AVAR, 0.3), sample) == avar_empirical(sample, 0.3)
+    # losses {-3, -1, 1, 3}: the ceil(0.7 * 4) = 3rd is 1; the 0.3 tail is 3 and 0.05 of 1
+    assert apply_empirical(RiskMeasureSpec(VAR, 0.3), sample) == 1.0
+    assert abs(apply_empirical(RiskMeasureSpec(AVAR, 0.3), sample) - 0.8 / 0.3) < 1e-12
     assert apply_discrete(RiskMeasureSpec(VAR, 0.3), sample, probs) == var_discrete(
         sample, probs, 0.3
     )

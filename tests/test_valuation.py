@@ -7,7 +7,7 @@ from ambival.errors import ValidationError
 from ambival.oracle import snell_bruteforce
 from ambival.priors import ExponentialTiltFamily
 from ambival.riskmeasures import AVAR, VAR, RiskMeasureSpec, apply_discrete
-from ambival.scenario import AdaptedProcess, build_lattice, cond_expectation
+from ambival.scenario import AdaptedProcess
 from ambival.valuation import (
     CashFlowSpec,
     lower_bound,
@@ -31,7 +31,8 @@ def rectangular_upper(lattice, family, grid, cf):
     u = np.zeros(lattice.n_nodes(lattice.horizon))
     for t in range(lattice.horizon - 1, -1, -1):
         y = cf.x(t + 1) + u
-        u, _ = worst_case_cond_exp(lattice, family, grid, y, t, direction="SUP")
+        neg_u, _ = worst_case_cond_exp(lattice, family, grid, -y, t)
+        u = -neg_u
     return float(u[0])
 
 
@@ -102,7 +103,7 @@ class TestWorstCase:
         lattice, _, family, _ = make_instance(rng, 2, 3)
         vals = rng.normal(size=9)
         w = family.factors(2, 0.4)
-        expected = cond_expectation(lattice, vals, 1, weights=w)
+        expected = lattice.cond_sum(1, lattice.probs[2] * w * vals)
         got, arg = worst_case_cond_exp(lattice, family, [0.4], vals, 1)
         np.testing.assert_allclose(got, expected, atol=1e-14)
         np.testing.assert_array_equal(arg, 0)
@@ -110,9 +111,9 @@ class TestWorstCase:
     def test_inf_below_sup(self, rng):
         lattice, _, family, grid = make_instance(rng, 2, 2)
         vals = rng.normal(size=4)
-        lo, _ = worst_case_cond_exp(lattice, family, grid, vals, 1, direction="INF")
-        hi, _ = worst_case_cond_exp(lattice, family, grid, vals, 1, direction="SUP")
-        assert np.all(lo <= hi + 1e-15)
+        lo, _ = worst_case_cond_exp(lattice, family, grid, vals, 1)
+        neg_hi, _ = worst_case_cond_exp(lattice, family, grid, -vals, 1)
+        assert np.all(lo <= -neg_hi + 1e-15)
 
     def test_constant_value_is_invariant(self, rng):
         lattice, _, family, grid = make_instance(rng, 1, 3)
@@ -123,11 +124,6 @@ class TestWorstCase:
         lattice, _, family, _ = make_instance(rng, 1, 2)
         _, arg = worst_case_cond_exp(lattice, family, [0.3, 0.3], np.ones(2), 0)
         np.testing.assert_array_equal(arg, 0)
-
-    def test_rejects_unknown_direction(self, rng):
-        lattice, _, family, grid = make_instance(rng, 1, 2)
-        with pytest.raises(ValidationError, match="direction"):
-            worst_case_cond_exp(lattice, family, grid, np.ones(2), 0, direction="MAX")
 
 
 class TestRecursion:
@@ -278,7 +274,7 @@ class TestDefaultTimes:
             rm = RiskMeasureSpec(AVAR if trial % 2 else VAR, 0.15)
             out = value_multiprior(cf, rm, family, grid, lattice)
             tau = optimal_default_times(out, cf, lattice)[0]
-            res = snell_bruteforce(lattice, family, grid, out.R, payload, keep_table=True)
+            res = snell_bruteforce(lattice, family, grid, out.R, payload)
             leaf = tau.value_at_leaves()
             # locate the enumerated rule equal to the recursion's default time
             from ambival.oracle import enumerate_stopping_times
@@ -310,10 +306,3 @@ class TestDiagnostics:
         out = value_multiprior(cf, RiskMeasureSpec(VAR, 0.4), family, grid, lattice)
         report = supermartingale_diagnostic(out, cf, lattice)  # must not raise
         assert set(report.step_margins) == {0, 1}
-
-    def test_output_serialization(self, rng):
-        lattice, payload, family, grid = make_instance(rng, 1, 3)
-        out = value_multiprior(make_cf(payload), RiskMeasureSpec(VAR, 0.1), family, grid, lattice)
-        text = out.to_keyvalue()
-        assert "horizon = 1" in text
-        assert "R_0 = " in text and "V_0 = " in text
