@@ -83,8 +83,10 @@ class RunConfig:
             raise ValidationError(f"risk measure kind must be {VAR} or {AVAR}")
         if self.c1_rule not in (C1_INF, C1_SUP):
             raise ValidationError(f"c1_rule must be {C1_INF} or {C1_SUP}")
-        if self.threads < 1:
-            raise ValidationError("threads must be at least 1")
+        # knots and m get the bounds fit_h and boundary_grid enforce, for every command
+        for name, low in (("threads", 1), ("knots", 16), ("m", 2)):
+            if getattr(self, name) < low:
+                raise ValidationError(f"{name} must be at least {low}")
 
     def model(self) -> GaussianModel:
         return GaussianModel(
@@ -142,11 +144,14 @@ def _write(out_dir: Path, name: str, text: str) -> None:
     logger.info("wrote %s", out_dir / name)
 
 
-def _matrix_lines(name: str, mat: np.ndarray) -> List[str]:
-    return [
-        f"{name}_{i} = {' '.join(repr(float(x)) for x in np.atleast_1d(row))}"
+def _write_manifest(out_dir: Path, cfg: RunConfig, **matrices: np.ndarray) -> None:
+    """``manifest.txt``: the config, then one line per row of each matrix."""
+    rows = [
+        f"{name}_{i} = {' '.join(repr(float(x)) for x in np.atleast_1d(row))}\n"
+        for name, mat in matrices.items()
         for i, row in enumerate(np.atleast_2d(mat))
     ]
+    _write(out_dir, "manifest.txt", cfg.to_manifest() + "".join(rows))
 
 
 def _cmd_table1(cfg: RunConfig, out_dir: Path) -> None:
@@ -156,11 +161,7 @@ def _cmd_table1(cfg: RunConfig, out_dir: Path) -> None:
         threads=cfg.threads,
     )
     _write(out_dir, "table1.csv", table1_csv(result))
-    manifest = cfg.to_manifest()
-    manifest += "\n".join(
-        _matrix_lines("mu", result.mu) + _matrix_lines("sigma", result.sigma)
-    ) + "\n"
-    _write(out_dir, "manifest.txt", manifest)
+    _write_manifest(out_dir, cfg, mu=result.mu, sigma=result.sigma)
     for row in result.rows:
         print(
             f"{row['case']} p={row['p']} q={row['q']}: "
@@ -173,11 +174,7 @@ def _cmd_figure1(cfg: RunConfig, out_dir: Path) -> None:
     files = figure1_csv(data)
     for name, text in files.items():
         _write(out_dir, name, text)
-    manifest = cfg.to_manifest()
-    manifest += "\n".join(
-        _matrix_lines("mu", data.cloud.mu) + _matrix_lines("sigma", data.cloud.sigma)
-    ) + "\n"
-    _write(out_dir, "manifest.txt", manifest)
+    _write_manifest(out_dir, cfg, mu=data.cloud.mu, sigma=data.cloud.sigma)
     print(f"figure1: {len(files)} files in {out_dir}")
 
 
@@ -187,9 +184,8 @@ def _cmd_value(cfg: RunConfig, out_dir: Path) -> None:
     region = region_for(cloud, cfg.p)
     case = CASE1 if cfg.case == 1 else CASE2
     case_cfg = CaseConfig(
-        case=case, rm=RiskMeasureSpec(cfg.kind, cfg.q), p=cfg.p, n=cfg.n,
-        seed=cfg.seed, m_boundary=cfg.m, knots=cfg.knots, c1_rule=cfg.c1_rule,
-        threads=cfg.threads,
+        rm=RiskMeasureSpec(cfg.kind, cfg.q), n=cfg.n, seed=cfg.seed, m_boundary=cfg.m,
+        knots=cfg.knots, c1_rule=cfg.c1_rule, threads=cfg.threads,
     )
     if cfg.case == 1:
         lower, upper, _ = case1_bounds(case_cfg, model, region)
@@ -200,7 +196,7 @@ def _cmd_value(cfg: RunConfig, out_dir: Path) -> None:
         "case,p,q,lower,upper,n,seed\n"
         f"{case},{cfg.p!r},{cfg.q!r},{lower!r},{upper!r},{cfg.n},{cfg.seed}\n",
     )
-    _write(out_dir, "manifest.txt", cfg.to_manifest())
+    _write_manifest(out_dir, cfg)
     print(f"{case} p={cfg.p} q={cfg.q}: ({lower:.3f}, {upper:.3f})")
 
 
@@ -243,7 +239,7 @@ def _cmd_validate(cfg: RunConfig, out_dir: Path) -> None:
             density_process(family, theta, lattice)  # validated on construction
         supermartingale_diagnostic(out, cf, lattice)
         checks += 1
-    _write(out_dir, "manifest.txt", cfg.to_manifest())
+    _write_manifest(out_dir, cfg)
     print(f"validate: config ok, {checks} lattice self-checks passed")
 
 

@@ -117,9 +117,7 @@ def paper_model() -> GaussianModel:
 class CaseConfig:
     """Knobs for one bound computation."""
 
-    case: str
     rm: RiskMeasureSpec
-    p: float
     n: int = 10**5
     seed: int = 0
     m_boundary: int = 360  # 2-dim projected boundaries
@@ -128,10 +126,6 @@ class CaseConfig:
     threads: int = 1
 
     def __post_init__(self) -> None:
-        if self.case not in (CASE1, CASE2):
-            raise ValidationError(f"unknown case {self.case!r}")
-        if not 0.0 < self.p < 1.0:
-            raise ValidationError("confidence level must lie in (0,1)")
         if self.n < 10**3:
             raise ValidationError("statistical runs need n >= 1000")
         if self.c1_rule not in (C1_INF, C1_SUP):
@@ -703,9 +697,7 @@ def table1(
             region = region_for(cloud, p)
             for q in TABLE1_Q:
                 cfg = CaseConfig(
-                    case=case,
                     rm=RiskMeasureSpec(kind, q),
-                    p=p,
                     n=n,
                     seed=seed,
                     m_boundary=m_boundary,

@@ -44,7 +44,7 @@ class DensityFamily:
     region: Optional["ParamRegion"] = None
 
     def factors(self, t: int, theta: Any) -> np.ndarray:
-        raise NotImplementedError
+        raise ValidationError(f"{type(self).__name__} has no lattice factors")
 
 
 class ExponentialTiltFamily(DensityFamily):

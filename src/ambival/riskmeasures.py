@@ -2,12 +2,13 @@
 
 Sign convention: every function takes the position ``Z`` (a gain) and owns the
 loss transform ``-Z`` internally.  Two estimators share one convention:
-``apply_discrete`` measures a finite law given by atoms and probabilities (the
-lattice kernel), ``apply_empirical`` measures each row of a batch of equally
-weighted samples.  The quantile is the upper order statistic at index
-``ceil((1 - q) n)``, i.e. the essential-infimum quantile of the loss law; tail
-averages are computed exactly with a fractional weight on the marginal
-observation.
+``apply_discrete`` is the lattice kernel: it measures, in one call, the
+finite law given by atoms and probabilities on every segment of a lattice
+level (the children of each parent).  ``apply_empirical`` measures each row
+of a batch of equally weighted samples.  The quantile is the upper order
+statistic at index ``ceil((1 - q) n)``, i.e. the essential-infimum quantile of
+the loss law; tail averages are computed exactly with a fractional weight on
+the marginal observation.
 """
 
 from __future__ import annotations
@@ -23,6 +24,7 @@ VAR = "VAR"
 AVAR = "AVAR"
 
 _TIE_EPS = 1e-9  # keeps ceil((1 - q) n) from rounding up when (1 - q) n is whole
+_BLOCK = 1 << 16  # atoms per matrix in apply_discrete; bounds its scratch memory
 
 
 @dataclass(frozen=True)
@@ -44,33 +46,6 @@ def _as_losses(sample: np.ndarray) -> np.ndarray:
     if not np.all(np.isfinite(sample)):
         raise ValidationError("non-finite sample values")
     return -sample
-
-
-def var_discrete(values: np.ndarray, probs: np.ndarray, q: float) -> float:
-    """Value-at-risk of a finite discrete law given by atoms and probabilities."""
-    losses = _as_losses(values)
-    probs = np.asarray(probs, dtype=np.float64)
-    order = np.argsort(losses, kind="stable")
-    cum = np.cumsum(probs[order])
-    idx = int(np.searchsorted(cum, (1.0 - q) - 1e-12))
-    idx = min(idx, len(losses) - 1)
-    return float(losses[order][idx])
-
-
-def avar_discrete(values: np.ndarray, probs: np.ndarray, q: float) -> float:
-    """Average value-at-risk: exact mean of the upper-``q`` loss tail.
-
-    The marginal atom straddling the tail boundary enters with fractional
-    weight, so the result is the exact integral of the quantile function.
-    """
-    losses = _as_losses(values)
-    probs = np.asarray(probs, dtype=np.float64)
-    order = np.argsort(-losses, kind="stable")
-    sorted_losses = losses[order]
-    w = probs[order]
-    cum_before = np.concatenate(([0.0], np.cumsum(w)[:-1]))
-    tail_w = np.clip(q - cum_before, 0.0, w)
-    return float(np.dot(tail_w, sorted_losses) / q)
 
 
 def gaussian_c(spec: RiskMeasureSpec) -> float:
@@ -107,7 +82,48 @@ def apply_empirical(spec: RiskMeasureSpec, y: np.ndarray) -> np.ndarray:
     return srt @ tail_w / spec.level
 
 
-def apply_discrete(spec: RiskMeasureSpec, values: np.ndarray, probs: np.ndarray) -> float:
+def apply_discrete(
+    spec: RiskMeasureSpec, values: np.ndarray, probs: np.ndarray, offsets: np.ndarray
+) -> np.ndarray:
+    """Risk measure of every segment ``offsets[j]:offsets[j + 1]`` of a level.
+
+    Each segment (on a lattice, the children of one node) is a finite law
+    given by atoms ``values`` and probabilities ``probs``; the result holds one
+    value per segment.  V@R is the smallest loss whose cumulative probability,
+    atoms sorted by loss, reaches ``1 - q`` (less ``1e-12``); AV@R is the exact
+    mean of the upper-``q`` loss tail, the marginal atom entering with
+    fractional weight.  Tied atoms keep their index order.  Segments of equal
+    size are measured as the rows of matrices of at most ``_BLOCK`` atoms, so
+    cumulative sums run within each segment and scratch memory stays bounded.
+    """
+    losses = _as_losses(values)
+    probs = np.asarray(probs, dtype=np.float64)
+    offsets = np.asarray(offsets, dtype=np.int64)
+    sizes = np.diff(offsets)
+    if probs.shape != losses.shape or losses.ndim != 1 or len(offsets) < 2 or (
+        offsets[0] != 0 or offsets[-1] != len(losses) or np.any(sizes < 1)
+    ):
+        raise ValidationError("offsets must cut atoms and probabilities into nonempty segments")
+    out = np.empty(len(sizes))
+    for size in np.unique(sizes):
+        seg = np.flatnonzero(sizes == size)
+        step = max(1, _BLOCK // size)
+        for part in (seg[i : i + step] for i in range(0, len(seg), step)):
+            idx = offsets[part, None] + np.arange(size)
+            out[part] = _measure_rows(spec, losses[idx], probs[idx])
+    return out
+
+
+def _measure_rows(spec: RiskMeasureSpec, losses: np.ndarray, probs: np.ndarray) -> np.ndarray:
+    """Risk measure of each row of a (laws, atoms) matrix of losses and probabilities."""
+    rows = np.arange(len(losses))[:, None]
+    order = np.argsort(losses if spec.kind == VAR else -losses, axis=1, kind="stable")
+    srt, w = losses[rows, order], probs[rows, order]
     if spec.kind == VAR:
-        return var_discrete(values, probs, spec.level)
-    return avar_discrete(values, probs, spec.level)
+        k = (np.cumsum(w, axis=1) < (1.0 - spec.level) - 1e-12).sum(axis=1)
+        return srt[rows[:, 0], np.minimum(k, w.shape[1] - 1)]
+    cum_before = np.zeros_like(w)
+    np.cumsum(w[:, :-1], axis=1, out=cum_before[:, 1:])
+    tail_w = np.clip(spec.level - cum_before, 0.0, w)
+    # one dot product per row, summed as np.dot sums a single law
+    return np.matmul(tail_w[:, None, :], srt[:, :, None])[:, 0, 0] / spec.level

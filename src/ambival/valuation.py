@@ -118,12 +118,7 @@ def cond_risk(
     lattice: ScenarioLattice, rm: RiskMeasureSpec, position_next: np.ndarray, t: int
 ) -> np.ndarray:
     """Conditional risk measure of a time-``t + 1`` position, one value per time-``t`` node."""
-    out = np.empty(lattice.n_nodes(t))
-    p = lattice.probs[t + 1]
-    for j in range(lattice.n_nodes(t)):
-        idx = lattice.children(t, j)
-        out[j] = apply_discrete(rm, position_next[idx], p[idx])
-    return out
+    return apply_discrete(rm, position_next, lattice.probs[t + 1], lattice.child_offsets[t])
 
 
 def worst_case_cond_exp(

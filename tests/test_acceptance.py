@@ -294,7 +294,7 @@ def test_criterion_6_table1_reproduction(table_runs):
 def test_criterion_7_degenerate_collapse():
     model = paper_model()
     region = point_region(model.theta)
-    cfg = CaseConfig(case=CASE1, rm=RiskMeasureSpec(VAR, 0.005), p=0.5, n=10**5, seed=0)
+    cfg = CaseConfig(rm=RiskMeasureSpec(VAR, 0.005), n=10**5, seed=0)
     lower, upper, _ = case1_bounds(cfg, model, region)
     report(
         7,

@@ -103,6 +103,19 @@ class TestMain:
         assert lower <= upper
         assert (tmp_path / "manifest.txt").exists()
 
+    @pytest.mark.parametrize("bad", ["knots=15", "m=1"])
+    def test_value_rejects_out_of_range_grid_keys(self, tmp_path, capsys, bad):
+        # case 1 never builds the h table, yet the key is checked for every command
+        rc = main(
+            [
+                "--command", "value", "--case", "1", "--n", "2000", "--out", str(tmp_path),
+                "--set", "cloud_n_rep=2000", "--set", bad,
+            ]
+        )
+        assert rc == 1
+        assert "at least" in capsys.readouterr().err
+        assert not (tmp_path / "manifest.txt").exists()
+
     def test_table1_passes_m_and_knots_to_the_h_table(self, tmp_path, monkeypatch):
         seen = []
         fit_h = ambival.gaussian.fit_h

@@ -35,8 +35,10 @@ from ambival.gaussian import (
     simulate_triangle,
     table1_csv,
 )
-from ambival.priors import point_region, project_region
+from ambival.priors import density_process, point_region, project_region
 from ambival.riskmeasures import VAR, RiskMeasureSpec, apply_empirical, gaussian_c
+from ambival.scenario import AdaptedProcess
+from ambival.valuation import CashFlowSpec, value_multiprior
 
 
 class TestModel:
@@ -196,6 +198,17 @@ class TestStepFamily:
         with pytest.raises(ValidationError, match="step"):
             fam.step(3, paper_model().theta, {})
 
+    def test_has_no_lattice_factors(self, binomial_lattice):
+        m = paper_model()
+        fam = GaussianStepFamily(m)
+        with pytest.raises(ValidationError, match="GaussianStepFamily has no lattice factors"):
+            density_process(fam, m.theta, binomial_lattice)
+        cf = CashFlowSpec(
+            liability=AdaptedProcess(name="X", values={1: np.zeros(2), 2: np.zeros(4)})
+        )
+        with pytest.raises(ValidationError, match="GaussianStepFamily has no lattice factors"):
+            value_multiprior(cf, RiskMeasureSpec(VAR, 0.1), fam, [m.theta], binomial_lattice)
+
     def test_rejects_nonpositive_volatility(self):
         fam = GaussianStepFamily(paper_model())
         with pytest.raises(ValidationError, match="positive"):
@@ -231,10 +244,8 @@ class TestCaseBounds:
         self.model = paper_model()
         self.cloud = estimator_cloud(self.model, 5000, seed=0)
 
-    def fast_cfg(self, case, q=0.05, p=0.1, rule=C1_INF):
-        return CaseConfig(
-            case=case, rm=RiskMeasureSpec(VAR, q), p=p, n=4000, seed=0, c1_rule=rule,
-        )
+    def fast_cfg(self):
+        return CaseConfig(rm=RiskMeasureSpec(VAR, 0.05), n=4000, seed=0)
 
     def test_case1_upper_at_degenerate_region(self):
         region = point_region(self.model.theta)
@@ -249,22 +260,22 @@ class TestCaseBounds:
 
     def test_case1_bounds_ordered(self):
         region = region_for(self.cloud, 0.1)
-        lower, upper, arg = case1_bounds(self.fast_cfg(CASE1), self.model, region)
+        lower, upper, arg = case1_bounds(self.fast_cfg(), self.model, region)
         assert lower <= upper
         assert 1.2 < lower < 1.7
         assert region.membership(arg)
 
     def test_case2_value_and_bounds(self):
         region = region_for(self.cloud, 0.1)
-        v0, upper, arg = case2_value(self.fast_cfg(CASE2), self.model, region)
+        v0, upper, arg = case2_value(self.fast_cfg(), self.model, region)
         assert v0 <= upper
         assert 1.2 < v0 < 1.8
         assert region.membership(arg)
 
     def test_case2_at_least_case1(self):
         region = region_for(self.cloud, 0.1)
-        lo1, _, _ = case1_bounds(self.fast_cfg(CASE1), self.model, region)
-        v2, _, _ = case2_value(self.fast_cfg(CASE2), self.model, region)
+        lo1, _, _ = case1_bounds(self.fast_cfg(), self.model, region)
+        v2, _, _ = case2_value(self.fast_cfg(), self.model, region)
         assert v2 >= lo1 - 0.005
 
     def test_case2_upper_rejects_beta1_reaching_one(self):
@@ -274,9 +285,7 @@ class TestCaseBounds:
 
     def test_config_validation(self):
         with pytest.raises(ValidationError, match="n >= 1000"):
-            CaseConfig(case=CASE1, rm=RiskMeasureSpec(VAR, 0.05), p=0.1, n=10)
-        with pytest.raises(ValidationError, match="case"):
-            CaseConfig(case="CASE3", rm=RiskMeasureSpec(VAR, 0.05), p=0.1)
+            CaseConfig(rm=RiskMeasureSpec(VAR, 0.05), n=10)
 
 
 class TestHFit:

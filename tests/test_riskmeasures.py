@@ -12,9 +12,7 @@ from ambival.riskmeasures import (
     RiskMeasureSpec,
     apply_discrete,
     apply_empirical,
-    avar_discrete,
     gaussian_c,
-    var_discrete,
 )
 
 finite_floats = st.floats(
@@ -30,6 +28,36 @@ def var_empirical(sample, q):
 
 def avar_empirical(sample, q):
     return apply_empirical(RiskMeasureSpec(AVAR, q), sample)
+
+
+def discrete(kind, values, probs, q):
+    """The lattice kernel on a level of one segment: a single discrete law."""
+    return apply_discrete(RiskMeasureSpec(kind, q), values, probs, [0, len(values)])[0]
+
+
+def one_law_reference(kind, values, probs, q):
+    """One discrete law at a time with 1-D sorts, cumulative sums and dot products."""
+    losses = -values
+    if kind == VAR:
+        order = np.argsort(losses, kind="stable")
+        idx = int(np.searchsorted(np.cumsum(probs[order]), (1.0 - q) - 1e-12))
+        return losses[order][min(idx, len(losses) - 1)]
+    order = np.argsort(-losses, kind="stable")
+    cum_before = np.concatenate(([0.0], np.cumsum(probs[order])[:-1]))
+    return np.dot(np.clip(q - cum_before, 0.0, probs[order]), losses[order]) / q
+
+
+@st.composite
+def ragged_levels(draw):
+    """A level of 1-8 laws with 1-6 weighted atoms each, tied atoms likely."""
+    sizes = draw(st.lists(st.integers(1, 6), min_size=1, max_size=8))
+    n = sum(sizes)
+    atom = st.one_of(st.integers(-2, 2).map(float), finite_floats)
+    values = np.array(draw(st.lists(atom, min_size=n, max_size=n)))
+    w = np.array(draw(st.lists(st.floats(0.01, 1.0), min_size=n, max_size=n)))
+    offsets = np.concatenate(([0], np.cumsum(sizes)))
+    probs = w / np.repeat(np.add.reduceat(w, offsets[:-1]), sizes)
+    return values, probs, offsets
 
 
 class TestSpec:
@@ -65,16 +93,26 @@ class TestHandValues:
         sample = rng.normal(size=37)
         probs = np.full(37, 1.0 / 37)
         for q in (0.05, 0.1, 0.5):
-            assert var_discrete(sample, probs, q) == var_empirical(sample, q)
-            assert abs(avar_discrete(sample, probs, q) - avar_empirical(sample, q)) < 1e-12
+            assert discrete(VAR, sample, probs, q) == var_empirical(sample, q)
+            assert abs(discrete(AVAR, sample, probs, q) - avar_empirical(sample, q)) < 1e-12
 
     def test_discrete_weighted_atoms(self):
         values = np.array([0.0, -10.0])
         probs = np.array([0.95, 0.05])
-        assert var_discrete(values, probs, 0.1) == 0.0
-        assert var_discrete(values, probs, 0.04) == 10.0
+        assert discrete(VAR, values, probs, 0.1) == 0.0
+        assert discrete(VAR, values, probs, 0.04) == 10.0
         # tail of mass 0.1 = the full -10 atom plus 0.05 of the 0 atom
-        assert abs(avar_discrete(values, probs, 0.1) - 5.0) < 1e-12
+        assert abs(discrete(AVAR, values, probs, 0.1) - 5.0) < 1e-12
+
+    def test_discrete_quantile_threshold_absorbs_rounding(self):
+        # 0.7 + 0.2 rounds to 0.8999999999999999; the 1e-12 slack still
+        # makes the loss-1 atom reach the 0.9 quantile, in a level too
+        values, probs = np.array([0.0, -1.0, -2.0]), np.array([0.7, 0.2, 0.1])
+        assert discrete(VAR, values, probs, 0.1) == 1.0
+        level = apply_discrete(
+            RiskMeasureSpec(VAR, 0.1), np.tile(values, 2), np.tile(probs, 2), [0, 3, 6]
+        )
+        np.testing.assert_array_equal(level, [1.0, 1.0])
 
     def test_gaussian_constants(self):
         assert abs(gaussian_c(RiskMeasureSpec(VAR, 0.05)) - 1.6448536269514722) < 1e-12
@@ -98,6 +136,19 @@ class TestValidation:
     def test_rejects_non_finite(self):
         with pytest.raises(ValidationError, match="finite"):
             avar_empirical(np.array([1.0, np.nan]), 0.1)
+        with pytest.raises(ValidationError, match="finite"):
+            discrete(VAR, np.array([1.0, np.inf]), np.array([0.5, 0.5]), 0.1)
+
+    def test_discrete_rejects_bad_segments(self):
+        rm = RiskMeasureSpec(AVAR, 0.1)
+        values, probs = np.array([1.0, 2.0, 3.0]), np.full(3, 0.5)
+        with pytest.raises(ValidationError, match="empty"):
+            apply_discrete(rm, values[:0], probs[:0], [0])
+        for offsets in ([0, 1, 1, 3], [0, 2], [1, 3], [0, 4], [0]):
+            with pytest.raises(ValidationError, match="nonempty segments"):
+                apply_discrete(rm, values, probs, offsets)
+        with pytest.raises(ValidationError, match="nonempty segments"):
+            apply_discrete(rm, values, probs[:2], [0, 3])
 
     @pytest.mark.parametrize("kind", [VAR, AVAR])
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
@@ -121,6 +172,74 @@ class TestBatch:
                 rows = [apply_empirical(rm, row) for row in y]
                 assert all(np.ndim(r) == 0 for r in rows)
                 np.testing.assert_array_equal(batch, rows)
+
+
+class TestLevel:
+    @given(level=ragged_levels(), q=levels)
+    @settings(max_examples=300, deadline=None)
+    def test_level_equals_each_segment_alone(self, level, q):
+        values, probs, offsets = level
+        for kind in (VAR, AVAR):
+            whole = apply_discrete(RiskMeasureSpec(kind, q), values, probs, offsets)
+            segments = list(zip(offsets[:-1], offsets[1:]))
+            alone = [discrete(kind, values[a:b], probs[a:b], q) for a, b in segments]
+            np.testing.assert_array_equal(whole, alone)
+            reference = [
+                one_law_reference(kind, values[a:b], probs[a:b], q) for a, b in segments
+            ]
+            np.testing.assert_array_equal(whole, reference)
+
+    def test_blocks_do_not_change_values(self):
+        # a level several matrix blocks long per segment size equals its pieces
+        rng = np.random.default_rng(5)
+        sizes = rng.integers(1, 7, 200_000)
+        values = rng.integers(-3, 4, sizes.sum()) / 2.0 + (rng.random(sizes.sum()) < 0.5)
+        probs = rng.uniform(0.1, 1.0, sizes.sum())
+        offsets = np.concatenate(([0], np.cumsum(sizes)))
+        probs /= np.repeat(np.add.reduceat(probs, offsets[:-1]), sizes)
+        cuts = [0, 1, 17, 45_000, 125_001, 200_000]
+        for kind in (VAR, AVAR):
+            rm = RiskMeasureSpec(kind, 0.1)
+            pieces = [
+                apply_discrete(rm, values[offsets[i]:offsets[j]], probs[offsets[i]:offsets[j]],
+                               offsets[i:j + 1] - offsets[i])
+                for i, j in zip(cuts[:-1], cuts[1:])
+            ]
+            np.testing.assert_array_equal(
+                apply_discrete(rm, values, probs, offsets), np.concatenate(pieces)
+            )
+
+    @given(level=ragged_levels(), q=levels, shift=finite_floats)
+    @settings(max_examples=200, deadline=None)
+    def test_cash_invariance(self, level, q, shift):
+        values, probs, offsets = level
+        scale = max(1.0, np.max(np.abs(values)), abs(shift))
+        for kind in (VAR, AVAR):
+            rm = RiskMeasureSpec(kind, q)
+            moved = apply_discrete(rm, values + shift, probs, offsets)
+            base = apply_discrete(rm, values, probs, offsets)
+            np.testing.assert_allclose(moved, base - shift, rtol=0.0, atol=1e-9 * scale)
+
+    @given(level=ragged_levels(), q=levels, data=st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_monotonicity(self, level, q, data):
+        values, probs, offsets = level
+        bump = np.array(
+            data.draw(st.lists(st.floats(0.0, 100.0), min_size=len(values), max_size=len(values)))
+        )
+        for kind in (VAR, AVAR):
+            rm = RiskMeasureSpec(kind, q)
+            better = apply_discrete(rm, values + bump, probs, offsets)
+            assert np.all(better <= apply_discrete(rm, values, probs, offsets) + 1e-9)
+
+    @given(level=ragged_levels(), q=levels)
+    @settings(max_examples=200, deadline=None)
+    def test_avar_dominates_var(self, level, q):
+        values, probs, offsets = level
+        scale = max(1.0, np.max(np.abs(values)))
+        var = apply_discrete(RiskMeasureSpec(VAR, q), values, probs, offsets)
+        avar = apply_discrete(RiskMeasureSpec(AVAR, q), values, probs, offsets)
+        assert np.all(avar >= var - 1e-9 * scale)
 
 
 class TestAxioms:
@@ -164,9 +283,5 @@ def test_apply_dispatch():
     # losses {-3, -1, 1, 3}: the ceil(0.7 * 4) = 3rd is 1; the 0.3 tail is 3 and 0.05 of 1
     assert apply_empirical(RiskMeasureSpec(VAR, 0.3), sample) == 1.0
     assert abs(apply_empirical(RiskMeasureSpec(AVAR, 0.3), sample) - 0.8 / 0.3) < 1e-12
-    assert apply_discrete(RiskMeasureSpec(VAR, 0.3), sample, probs) == var_discrete(
-        sample, probs, 0.3
-    )
-    assert apply_discrete(RiskMeasureSpec(AVAR, 0.3), sample, probs) == avar_discrete(
-        sample, probs, 0.3
-    )
+    assert discrete(VAR, sample, probs, 0.3) == 1.0
+    assert abs(discrete(AVAR, sample, probs, 0.3) - 0.8 / 0.3) < 1e-12

@@ -157,8 +157,8 @@ class TestRecursion:
         out = value_multiprior(make_cf(payload), rm, family, grid, lattice)
         y1 = payload[1] + out.V[1]
         # rho of the time-1 position -(X_1 + V_1); the loss is the amount owed
-        got = apply_discrete(rm, -y1, lattice.probs[1])
-        assert abs(out.r0 - got) < 1e-14
+        got = apply_discrete(rm, -y1, lattice.probs[1], [0, len(y1)])
+        assert got.shape == (1,) and abs(out.r0 - got[0]) < 1e-14
 
     def test_singleprior_matches_singleton_grid(self, rng):
         lattice, payload, family, grid = make_instance(rng, 2, 2)
