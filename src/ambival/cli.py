@@ -26,8 +26,6 @@ import numpy as np
 
 from .errors import NumericalError, ValidationError
 from .gaussian import (
-    C1_INF,
-    C1_SUP,
     CASE1,
     CASE2,
     CaseConfig,
@@ -61,7 +59,6 @@ class RunConfig:
     threads: int = 1
     m: int = 360
     knots: int = 64
-    c1_rule: str = C1_INF
     cloud_n_rep: int = 10**5
     beta0: float = 2.0 / 3.0
     sigma0: float = 0.2
@@ -81,8 +78,6 @@ class RunConfig:
             raise ValidationError("case must be 1 or 2")
         if self.kind not in (VAR, AVAR):
             raise ValidationError(f"risk measure kind must be {VAR} or {AVAR}")
-        if self.c1_rule not in (C1_INF, C1_SUP):
-            raise ValidationError(f"c1_rule must be {C1_INF} or {C1_SUP}")
         # knots and m get the bounds fit_h and boundary_grid enforce, for every command
         for name, low in (("threads", 1), ("knots", 16), ("m", 2)):
             if getattr(self, name) < low:
@@ -157,8 +152,7 @@ def _write_manifest(out_dir: Path, cfg: RunConfig, **matrices: np.ndarray) -> No
 def _cmd_table1(cfg: RunConfig, out_dir: Path) -> None:
     result = table1(
         model=cfg.model(), n=cfg.n, seed=cfg.seed, cloud_n_rep=cfg.cloud_n_rep,
-        kind=cfg.kind, c1_rule=cfg.c1_rule, m_boundary=cfg.m, knots=cfg.knots,
-        threads=cfg.threads,
+        kind=cfg.kind, m_boundary=cfg.m, knots=cfg.knots, threads=cfg.threads,
     )
     _write(out_dir, "table1.csv", table1_csv(result))
     _write_manifest(out_dir, cfg, mu=result.mu, sigma=result.sigma)
@@ -185,7 +179,7 @@ def _cmd_value(cfg: RunConfig, out_dir: Path) -> None:
     case = CASE1 if cfg.case == 1 else CASE2
     case_cfg = CaseConfig(
         rm=RiskMeasureSpec(cfg.kind, cfg.q), n=cfg.n, seed=cfg.seed, m_boundary=cfg.m,
-        knots=cfg.knots, c1_rule=cfg.c1_rule, threads=cfg.threads,
+        knots=cfg.knots, threads=cfg.threads,
     )
     if cfg.case == 1:
         lower, upper, _ = case1_bounds(case_cfg, model, region)
@@ -231,16 +225,18 @@ def _cmd_validate(cfg: RunConfig, out_dir: Path) -> None:
     from .valuation import CashFlowSpec, supermartingale_diagnostic, value_multiprior
 
     cfg.model()  # validates model parameters
-    checks = 0
+    checks = violated = 0
     for lattice, payload, family, grid in random_suite(cfg.seed, 8):
         cf = CashFlowSpec(liability=AdaptedProcess(name="X", values=payload))
         out = value_multiprior(cf, RiskMeasureSpec(cfg.kind, cfg.q), family, grid, lattice)
         for theta in grid:
             density_process(family, theta, lattice)  # validated on construction
-        supermartingale_diagnostic(out, cf, lattice)
+        # reported, not raised (see SupermartingaleReport)
+        violated += len(supermartingale_diagnostic(out, cf, lattice).violations)
         checks += 1
     _write_manifest(out_dir, cfg)
-    print(f"validate: config ok, {checks} lattice self-checks passed")
+    report = f"{checks} lattice self-checks passed, {violated} violated step margins"
+    print(f"validate: config ok, {report}")
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -30,6 +30,7 @@ import scipy.linalg
 import scipy.optimize
 from scipy.special import ndtr
 
+from . import scenario
 from .errors import ValidationError
 from .priors import (
     DensityFamily,
@@ -40,14 +41,11 @@ from .priors import (
     project_region,
 )
 from .riskmeasures import VAR, RiskMeasureSpec, apply_empirical, gaussian_c
-from .scenario import InnovationSpec, substream
 
 logger = logging.getLogger(__name__)
 
 CASE1 = "CASE1"
 CASE2 = "CASE2"
-C1_INF = "INF"
-C1_SUP = "SUP"
 
 _SIGMA_FLOOR = 1e-12
 _CHUNK = 32
@@ -122,14 +120,11 @@ class CaseConfig:
     seed: int = 0
     m_boundary: int = 360  # 2-dim projected boundaries
     knots: int = 64
-    c1_rule: str = C1_INF
     threads: int = 1
 
     def __post_init__(self) -> None:
         if self.n < 10**3:
             raise ValidationError("statistical runs need n >= 1000")
-        if self.c1_rule not in (C1_INF, C1_SUP):
-            raise ValidationError(f"unknown time-1 optimization rule {self.c1_rule!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -152,8 +147,8 @@ def _simulate_triangles(
     model: GaussianModel, n_years: int, n_rep: int, seed: int
 ) -> Tuple[np.ndarray, np.ndarray]:
     v = model.exposures[:n_years]
-    e1 = substream(seed, 0).standard_normal((n_rep, n_years))
-    e2 = substream(seed, 1).standard_normal((n_rep, n_years - 1))
+    e1 = scenario.substream(seed, 0).standard_normal((n_rep, n_years))
+    e2 = scenario.substream(seed, 1).standard_normal((n_rep, n_years - 1))
     c1 = model.beta0 + model.sigma0 / np.sqrt(v) * e1
     c2 = model.beta1 * c1[:, : n_years - 1] + model.sigma1 / np.sqrt(v[: n_years - 1]) * e2
     return c1, c2
@@ -381,21 +376,22 @@ def _boundary_search(
 
 @dataclass
 class _BaseSample:
-    """Shared innovations for common-random-number comparisons across theta."""
+    """Common random numbers of one cell and the base-measure positions on them."""
 
     eps_m12: np.ndarray  # development of year -1 in period 1
     eps_01: np.ndarray  # first column of year 0
+    c01: np.ndarray  # C_{0,1} under the base measure
+    y: np.ndarray  # X_1 + R_1 under the base measure
 
 
-def _p_sample(n: int, seed: int) -> _BaseSample:
-    from .scenario import simulate_paths
-
-    sample = simulate_paths(InnovationSpec(("eps_m12", "eps_01")), n, seed)
-    return _BaseSample(eps_m12=sample.column("eps_m12"), eps_01=sample.column("eps_01"))
+def _p_sample(model: GaussianModel, n: int, seed: int, c: float) -> _BaseSample:
+    eps_m12, eps_01 = scenario.simulate_paths(2, n, seed).T
+    c01, y = _x1_plus_r1(model, model.theta, eps_m12, eps_01, c)
+    return _BaseSample(eps_m12=eps_m12, eps_01=eps_01, c01=c01, y=y)
 
 
 def _x1_plus_r1(
-    model: GaussianModel, theta: np.ndarray, base: _BaseSample, c: float
+    model: GaussianModel, theta: np.ndarray, eps_m12: np.ndarray, eps_01: np.ndarray, c: float
 ) -> Tuple[np.ndarray, np.ndarray]:
     """``(C_{0,1}, X_1 + R_1)`` per path when the data evolve under ``theta``.
 
@@ -404,37 +400,14 @@ def _x1_plus_r1(
     """
     b0, s0 = theta[..., _B0, None], theta[..., _S0, None]
     b1, s1 = theta[..., _B1, None], theta[..., _S1, None]
-    c01 = b0 + s0 / math.sqrt(model.v0) * base.eps_01
+    c01 = b0 + s0 / math.sqrt(model.v0) * eps_01
     x1 = (
         model.v_m1 * (b1 - 1.0) * model.c_m11
-        + math.sqrt(model.v_m1) * s1 * base.eps_m12
+        + math.sqrt(model.v_m1) * s1 * eps_m12
         + model.v0 * c01
     )
     r1 = r1_closed_form(c01, model, c)
     return c01, x1 + r1
-
-
-def _value_single_theta(
-    model: GaussianModel,
-    rm: RiskMeasureSpec,
-    thetas: np.ndarray,
-    base: _BaseSample,
-    c: float,
-) -> np.ndarray:
-    """Fixed-prior values ``V_0^theta = R_0^theta - C_0^theta``, one per row.
-
-    The time-1 layer is closed form; the time-0 quantile is empirical under
-    the base measure and the deficit-option expectation is an empirical mean
-    under each fixed prior (simulated directly with shifted and scaled
-    innovations), both on common random numbers.
-    """
-    c01_p, y_base_p = _x1_plus_r1(model, model.theta, base, c)
-    c01_q, y_base_q = _x1_plus_r1(model, thetas, base, c)
-    g_p = closed_form_g(thetas[..., [_B1, _S1]][..., None, :], c01_p, model, c)
-    g_q = closed_form_g(thetas[..., [_B1, _S1]][..., None, :], c01_q, model, c)
-    r0 = apply_empirical(rm, -(y_base_p - g_p))
-    c0 = np.maximum(r0[..., None] - (y_base_q - g_q), 0.0).mean(axis=-1)
-    return r0 - c0
 
 
 def _chunked_objective(
@@ -500,17 +473,25 @@ def case1_bounds(
 ) -> Tuple[float, float, np.ndarray]:
     """Lower and upper bounds for the time-0 value under fixed-parameter priors.
 
-    The lower bound maximizes the fixed-prior value over the region boundary;
-    the upper bound is the closed-form worst-case expected total cash flow.
+    The lower bound maximizes the fixed-prior value ``V_0^theta = R_0^theta -
+    C_0^theta`` over the region boundary.  The time-1 layer is closed form; the
+    time-0 quantile is empirical under the base measure and the deficit-option
+    expectation is an empirical mean under each fixed prior (simulated directly
+    with shifted and scaled innovations), both on common random numbers.  The
+    upper bound is the closed-form worst-case expected total cash flow.
     Returns ``(lower, upper, argmax theta)``.
     """
     c = gaussian_c(cfg.rm)
-    base = _p_sample(cfg.n, cfg.seed)
+    base = _p_sample(model, cfg.n, cfg.seed, c)
 
-    def obj(thetas: np.ndarray) -> np.ndarray:
-        return _value_single_theta(model, cfg.rm, thetas, base, c)
+    def value(thetas: np.ndarray) -> np.ndarray:
+        c01_q, y_base_q = _x1_plus_r1(model, thetas, base.eps_m12, base.eps_01, c)
+        g_p = closed_form_g(thetas[..., [_B1, _S1]][..., None, :], base.c01, model, c)
+        g_q = closed_form_g(thetas[..., [_B1, _S1]][..., None, :], c01_q, model, c)
+        r0 = apply_empirical(cfg.rm, -(base.y - g_p))
+        return r0 - np.maximum(r0[..., None] - (y_base_q - g_q), 0.0).mean(axis=-1)
 
-    chunked = _chunked_objective(obj, cfg.threads)
+    chunked = _chunked_objective(value, cfg.threads)
     lower, arg = _boundary_search(
         region, chunked, maximize=True, m=_M_SEARCH, positive=(_S0, _S1)
     )
@@ -560,24 +541,20 @@ def fit_h(
     c: float,
     m_boundary: int = 360,
     knots: int = 64,
-    rule: str = C1_INF,
 ) -> HFit:
     """Tabulate the per-state optimum of the closed-form time-1 layer.
 
     The knot grid spans +/- 6 conditional standard deviations of ``C_{0,1}``
     around its base-measure mean; at each knot the deficit-option value is
-    optimized over the boundary grid of the ``(beta1, sigma1)`` projection.
+    minimized over the boundary grid of the ``(beta1, sigma1)`` projection.
     """
     if knots < 16:
         raise ValidationError("h-fit needs at least 16 knots")
-    if rule not in (C1_INF, C1_SUP):
-        raise ValidationError(f"unknown time-1 optimization rule {rule!r}")
     sd = model.sigma0 / math.sqrt(model.v0)
     xs = np.linspace(model.beta0 - 6.0 * sd, model.beta0 + 6.0 * sd, knots)
     grid = boundary_grid(proj, m_boundary, positive=(1,)).points  # (m, 2)
     table = closed_form_g(grid[:, None, :], xs[None, :], model, c)  # (m, knots)
-    values = table.min(axis=0) if rule == C1_INF else table.max(axis=0)
-    return HFit(knots=xs, values=values)
+    return HFit(knots=xs, values=table.min(axis=0))
 
 
 def case2_upper(model: GaussianModel, region: ParamRegion) -> float:
@@ -626,15 +603,13 @@ def case2_value(
     boundary with per-prior direct simulation.
     """
     c = gaussian_c(cfg.rm)
-    base = _p_sample(cfg.n, cfg.seed)
+    base = _p_sample(model, cfg.n, cfg.seed, c)
     proj = project_region(region, [_B1, _S1])
-    h = fit_h(model, proj, c, m_boundary=cfg.m_boundary, knots=cfg.knots, rule=cfg.c1_rule)
-
-    c01_p, y_base_p = _x1_plus_r1(model, model.theta, base, c)
-    r0 = float(apply_empirical(cfg.rm, -(y_base_p - h(c01_p))))
+    h = fit_h(model, proj, c, m_boundary=cfg.m_boundary, knots=cfg.knots)
+    r0 = float(apply_empirical(cfg.rm, -(base.y - h(base.c01))))
 
     def deficit(thetas: np.ndarray) -> np.ndarray:
-        c01_q, y_base_q = _x1_plus_r1(model, thetas, base, c)
+        c01_q, y_base_q = _x1_plus_r1(model, thetas, base.eps_m12, base.eps_01, c)
         y_q = y_base_q - h(c01_q)
         return np.maximum(r0 - y_q, 0.0).mean(axis=-1)
 
@@ -654,6 +629,7 @@ def case2_value(
 
 TABLE1_P = (0.1, 0.5, 0.9)
 TABLE1_Q = (0.10, 0.05, 0.01, 0.005)
+FIGURE1_P = (0.1, 0.9)
 
 
 @dataclass
@@ -661,14 +637,6 @@ class Table1Result:
     rows: List[Dict[str, object]]
     mu: np.ndarray
     sigma: np.ndarray
-    n: int
-    seed: int
-
-    def cell(self, case: str, p: float, q: float) -> Tuple[float, float]:
-        for row in self.rows:
-            if row["case"] == case and row["p"] == p and row["q"] == q:
-                return float(row["lower"]), float(row["upper"])
-        raise KeyError((case, p, q))
 
 
 def table1(
@@ -677,7 +645,6 @@ def table1(
     seed: int = 0,
     cloud_n_rep: int = 10**5,
     kind: str = VAR,
-    c1_rule: str = C1_INF,
     m_boundary: int = 360,
     knots: int = 64,
     threads: int = 1,
@@ -702,7 +669,6 @@ def table1(
                     seed=seed,
                     m_boundary=m_boundary,
                     knots=knots,
-                    c1_rule=c1_rule,
                     threads=threads,
                 )
                 if case == CASE1:
@@ -713,7 +679,7 @@ def table1(
                     {"case": case, "p": p, "q": q, "lower": lower, "upper": upper,
                      "n": n, "seed": seed}
                 )
-    return Table1Result(rows=rows, mu=cloud.mu, sigma=cloud.sigma, n=n, seed=seed)
+    return Table1Result(rows=rows, mu=cloud.mu, sigma=cloud.sigma)
 
 
 def table1_csv(result: Table1Result) -> str:
@@ -737,14 +703,13 @@ def figure1_data(
     model: Optional[GaussianModel] = None,
     n_rep: int = 1000,
     seed: int = 0,
-    p_levels: Sequence[float] = (0.1, 0.9),
     m_boundary: int = 360,
 ) -> Figure1Data:
     """Scatter clouds of the parameter estimates with region boundaries.
 
     One scatter per coordinate plane ``(beta0, beta1)`` and
-    ``(beta1, sigma1)``, and per confidence level a closed polyline for each
-    projected ellipse boundary.
+    ``(beta1, sigma1)``, and per confidence level in ``FIGURE1_P`` a closed
+    polyline for each projected ellipse boundary.
     """
     model = model if model is not None else paper_model()
     cloud = estimator_cloud(model, n_rep, seed)
@@ -753,7 +718,7 @@ def figure1_data(
         "figure1_scatter_beta1_sigma1": cloud.cloud[:, [_B1, _S1]],
     }
     ellipses: Dict[str, List[Tuple[str, np.ndarray]]] = {}
-    for p in p_levels:
+    for p in FIGURE1_P:
         region = region_for(cloud, p)
         polylines = []
         for plane, coords in (("beta0_beta1", [_B0, _B1]), ("beta1_sigma1", [_B1, _S1])):

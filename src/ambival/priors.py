@@ -158,10 +158,6 @@ def density_process(
     values = [np.ones(1)]
     for t in range(1, lattice.horizon + 1):
         thetas = _selection_thetas(lattice, selection, t)
-        if family.region is not None:
-            for th in thetas:
-                if not family.region.membership(th):
-                    raise ValidationError(f"selected theta {th!r} outside the region")
         unique: Dict[Any, np.ndarray] = {}
         factor = np.empty(lattice.n_nodes(t))
         for j, th in enumerate(thetas):
@@ -171,6 +167,8 @@ def density_process(
             except TypeError:
                 key = id(th)
             if key not in unique:
+                if family.region is not None and not family.region.membership(th):
+                    raise ValidationError(f"selected theta {th!r} outside the region")
                 unique[key] = np.asarray(family.factors(t, th), dtype=np.float64)
             children = lattice.children(t - 1, j)
             factor[children] = unique[key][children]

@@ -11,7 +11,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, List, Sequence
 
 import numpy as np
 
@@ -270,19 +270,6 @@ class StoppingTime:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class InnovationSpec:
-    """Named columns of iid standard normal innovations."""
-
-    columns: Tuple[str, ...]
-
-    def __post_init__(self) -> None:
-        if len(self.columns) == 0:
-            raise ValidationError("innovation spec needs at least one column")
-        if len(set(self.columns)) != len(self.columns):
-            raise ValidationError("duplicate innovation column names")
-
-
 def substream(seed: int, *ids: int) -> np.random.Generator:
     """Counter-based generator for an independent, reproducible substream."""
     return np.random.Generator(
@@ -290,32 +277,21 @@ def substream(seed: int, *ids: int) -> np.random.Generator:
     )
 
 
-@dataclass
-class PathSample:
-    """Seeded Monte Carlo matrix of innovations, one column per spec name."""
+def simulate_paths(n_columns: int, n: int, seed: int) -> np.ndarray:
+    """An ``(n, n_columns)`` matrix of iid standard normal innovations.
 
-    spec: InnovationSpec
-    draws: np.ndarray
-
-    def column(self, name: str) -> np.ndarray:
-        return self.draws[:, self.spec.columns.index(name)]
-
-
-def simulate_paths(model: InnovationSpec, n: int, seed: int) -> PathSample:
-    """Simulate ``n`` paths of iid standard normal innovations.
-
-    Deterministic in ``(model, n, seed)``.  Each column uses its own
+    Deterministic in ``(n_columns, n, seed)``.  Each column uses its own
     counter-based substream, and each column is generated in fixed blocks with
     per-block substreams, so adding a column or changing the block schedule
     never perturbs existing draws.
     """
+    if n_columns < 1:
+        raise ValidationError("need at least one innovation column")
     if n < 1:
         raise ValidationError("path count must be at least 1")
-    draws = np.empty((n, len(model.columns)))
-    for c in range(len(model.columns)):
-        col = np.empty(n)
+    draws = np.empty((n, n_columns))
+    for c in range(n_columns):
         for b, start in enumerate(range(0, n, _BLOCK)):
             stop = min(start + _BLOCK, n)
-            col[start:stop] = substream(seed, c, b).standard_normal(stop - start)
-        draws[:, c] = col
-    return PathSample(spec=model, draws=draws)
+            draws[start:stop, c] = substream(seed, c, b).standard_normal(stop - start)
+    return draws

@@ -31,7 +31,7 @@ from ambival.priors import StoppingTime, density_process, paste, point_region
 from ambival.riskmeasures import AVAR, VAR, RiskMeasureSpec, apply_empirical, gaussian_c
 from ambival.scenario import AdaptedProcess, substream
 from ambival.valuation import CashFlowSpec, value_multiprior
-from conftest import make_instance
+from conftest import cell, make_instance
 
 PAPER_TABLE1 = {
     (CASE1, 0.1, 0.10): (1.452, 1.491),
@@ -254,6 +254,7 @@ def test_criterion_5_closed_form_cross_checks():
     )
 
 
+@pytest.mark.slow
 def test_criterion_6_table1_reproduction(table_runs):
     results, elapsed = table_runs
     max_err = 0.0
@@ -261,26 +262,26 @@ def test_criterion_6_table1_reproduction(table_runs):
     ps, qs = (0.1, 0.5, 0.9), (0.10, 0.05, 0.01, 0.005)
     for seed, res in results.items():
         for (case, p, q), (ref_lo, ref_hi) in PAPER_TABLE1.items():
-            lo, hi = res.cell(case, p, q)
+            lo, hi = cell(res, case, p, q)
             max_err = max(max_err, abs(lo - ref_lo), abs(hi - ref_hi))
             structural_ok &= lo <= hi + 1e-12
         for case in (CASE1, CASE2):
             for q in qs:
-                cells = [res.cell(case, p, q) for p in ps]
+                cells = [cell(res, case, p, q) for p in ps]
                 structural_ok &= all(
                     a[0] <= b[0] + 1e-12 and a[1] <= b[1] + 1e-12
                     for a, b in zip(cells, cells[1:])
                 )
             for p in ps:
-                lowers = [res.cell(case, p, q)[0] for q in qs]  # q decreasing
+                lowers = [cell(res, case, p, q)[0] for q in qs]  # q decreasing
                 structural_ok &= all(a <= b + 1e-12 for a, b in zip(lowers, lowers[1:]))
         for p in ps:
             for q in qs:
                 structural_ok &= (
-                    res.cell(CASE2, p, q)[0] >= res.cell(CASE1, p, q)[0] - 0.005
+                    cell(res, CASE2, p, q)[0] >= cell(res, CASE1, p, q)[0] - 0.005
                 )
                 structural_ok &= (
-                    res.cell(CASE2, p, q)[1] >= res.cell(CASE1, p, q)[1] - 0.005
+                    cell(res, CASE2, p, q)[1] >= cell(res, CASE1, p, q)[1] - 0.005
                 )
     report(
         6,

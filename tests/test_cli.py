@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import ambival.gaussian
+import ambival.valuation
 from ambival.cli import RunConfig, main, parse_config
 from ambival.errors import ValidationError
 
@@ -13,7 +14,7 @@ class TestConfigFile:
         cfg = parse_config(None, {})
         assert cfg.command == "validate"
         assert cfg.seed == 0 and cfg.n == 10**5
-        assert cfg.kind == "VAR" and cfg.c1_rule == "INF"
+        assert cfg.kind == "VAR" and cfg.knots == 64
 
     def test_file_with_comments(self, tmp_path):
         path = tmp_path / "run.cfg"
@@ -62,9 +63,29 @@ class TestConfigFile:
 
 
 class TestMain:
-    def test_validate_succeeds(self, tmp_path):
+    def test_validate_succeeds(self, tmp_path, capsys):
         assert main(["--command", "validate", "--out", str(tmp_path)]) == 0
         assert (tmp_path / "manifest.txt").exists()
+        assert capsys.readouterr().out == (
+            "validate: config ok, 8 lattice self-checks passed, 0 violated step margins\n"
+        )
+
+    def test_validate_reports_violated_step_margins(self, tmp_path, capsys, monkeypatch):
+        diagnostic = ambival.valuation.supermartingale_diagnostic
+
+        def one_violation(*args):
+            report = diagnostic(*args)
+            report.violations = [(0, 0)]
+            return report
+
+        monkeypatch.setattr(ambival.valuation, "supermartingale_diagnostic", one_violation)
+        assert main(["--command", "validate", "--out", str(tmp_path)]) == 0
+        assert "8 violated step margins" in capsys.readouterr().out
+
+    def test_removed_time1_rule_key_is_unknown(self, tmp_path, capsys):
+        rc = main(["--command", "validate", "--set", "c1_rule=SUP", "--out", str(tmp_path)])
+        assert rc == 1
+        assert "unknown key 'c1_rule'" in capsys.readouterr().err
 
     def test_validation_error_exit_code(self, tmp_path, capsys):
         rc = main(["--command", "validate", "--q", "1.5", "--out", str(tmp_path)])

@@ -74,6 +74,17 @@ class TestDensityProcess:
             idx = lattice.children(1, j)
             np.testing.assert_allclose(d.ratio(2)[idx], f[idx])
 
+    def test_per_state_selection_outside_the_region_is_rejected(self, rng):
+        lattice, _, family, _ = make_instance(rng, 2, 2)
+        family.region = ellipsoid_region(np.zeros(1), np.eye(1), 0.5, 1)
+        inside = density_process(family, {1: 0.0, 2: [0.5, -0.5]}, lattice)
+        with pytest.raises(ValidationError, match="outside the region"):
+            density_process(family, {1: 0.0, 2: [0.5, 5.0]}, lattice)
+        family.region = None
+        free = density_process(family, {1: 0.0, 2: [0.5, -0.5]}, lattice)
+        for a, b in zip(inside.values, free.values):
+            np.testing.assert_array_equal(a, b)
+
     def test_per_state_selection_must_be_adapted(self, rng):
         lattice, _, family, grid = make_instance(rng, 2, 2)
         with pytest.raises(ValidationError, match="adapted"):

@@ -6,7 +6,6 @@ import pytest
 from ambival.errors import ValidationError
 from ambival.scenario import (
     AdaptedProcess,
-    InnovationSpec,
     ScenarioLattice,
     StoppingTime,
     assert_adapted,
@@ -130,23 +129,23 @@ class TestStoppingTime:
 
 class TestPathSample:
     def test_deterministic_in_seed(self):
-        spec = InnovationSpec(("a", "b"))
-        s1 = simulate_paths(spec, 500, seed=7)
-        s2 = simulate_paths(spec, 500, seed=7)
-        np.testing.assert_array_equal(s1.draws, s2.draws)
-        s3 = simulate_paths(spec, 500, seed=8)
-        assert not np.array_equal(s1.draws, s3.draws)
+        s1 = simulate_paths(2, 500, seed=7)
+        s2 = simulate_paths(2, 500, seed=7)
+        assert s1.shape == (500, 2)
+        np.testing.assert_array_equal(s1, s2)
+        s3 = simulate_paths(2, 500, seed=8)
+        assert not np.array_equal(s1, s3)
 
     def test_prefix_stable_under_larger_n(self):
-        spec = InnovationSpec(("a",))
-        small = simulate_paths(spec, 70_000, seed=0)
-        big = simulate_paths(spec, 80_000, seed=0)
-        np.testing.assert_array_equal(small.draws, big.draws[:70_000])
+        small = simulate_paths(1, 70_000, seed=0)
+        big = simulate_paths(1, 80_000, seed=0)
+        np.testing.assert_array_equal(small, big[:70_000])
 
     def test_columns_independent_of_order(self):
-        a_only = simulate_paths(InnovationSpec(("a",)), 100, seed=0)
-        ab = simulate_paths(InnovationSpec(("a", "b")), 100, seed=0)
-        np.testing.assert_array_equal(a_only.column("a"), ab.column("a"))
+        # column c of a k-column draw is column c of any wider draw
+        wide = simulate_paths(3, 100, seed=0)
+        for k in (1, 2):
+            np.testing.assert_array_equal(simulate_paths(k, 100, seed=0), wide[:, :k])
 
     def test_substream_reproducible(self):
         x = substream(3, 1, 2).standard_normal(5)
@@ -154,8 +153,7 @@ class TestPathSample:
         np.testing.assert_array_equal(x, y)
 
     def test_rejects_bad_specs(self):
-        with pytest.raises(ValidationError):
-            InnovationSpec(("a", "a"))
-        with pytest.raises(ValidationError):
-            InnovationSpec(())
-
+        with pytest.raises(ValidationError, match="column"):
+            simulate_paths(0, 10, seed=0)
+        with pytest.raises(ValidationError, match="path count"):
+            simulate_paths(1, 0, seed=0)
