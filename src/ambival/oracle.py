@@ -6,8 +6,11 @@ evaluates the sup-inf (and inf-sup) of the expected owner's payoff directly.
 The recursion is correct iff its time-0 surplus value matches the sup-inf to
 machine precision; weak duality (sup-inf <= inf-sup) must hold as well.
 
-Everything here favors transparency over speed and is meant for lattices with
-at most a few thousand enumerable objects; hard caps reject anything larger.
+Enumerated objects are integer arrays: a stopping rule is its value along
+every terminal path, a selection is one grid index per decision state.  The
+expectations of all (selection, rule) pairs are then gathers and one matrix
+product.  Enumeration is exponential in the lattice size, so hard caps
+reject anything larger than a few million objects.
 """
 
 from __future__ import annotations
@@ -18,146 +21,107 @@ from typing import Any, Dict, Iterator, List, Sequence, Tuple
 import numpy as np
 
 from .errors import CapExceededError, ValidationError
-from .priors import DensityFamily, ExponentialTiltFamily, Selection, density_process
-from .scenario import AdaptedProcess, ScenarioLattice, StoppingTime, build_lattice
+from .priors import DensityFamily, ExponentialTiltFamily, density_process
+from .scenario import AdaptedProcess, ScenarioLattice, build_lattice
 from .valuation import payoff_process
 
 DEFAULT_CAP = 10**6
 
 
-@dataclass
-class EnumeratedStoppingTime:
-    """One adapted stopping rule, recorded by its value along every terminal path."""
+def count_stopping_times(lattice: ScenarioLattice) -> int:
+    """Number of adapted stopping times with values in ``1..T+1``.
 
-    leaf_values: np.ndarray  # tau per time-T node, values in {t_start, ..., T + 1}
-
-    def as_stopping_time(self, lattice: ScenarioLattice) -> StoppingTime:
-        T = lattice.horizon
-        leaves = np.arange(lattice.n_nodes(T))
-        ancestors = [None] * (T + 1)
-        ancestors[T] = leaves
-        for t in range(T, 0, -1):
-            ancestors[t - 1] = lattice.parents[t][ancestors[t]]
-        stopped = []
-        for t in range(T + 1):
-            flags = np.zeros(lattice.n_nodes(t), dtype=bool)
-            flags[ancestors[t]] = self.leaf_values <= t
-            stopped.append(flags)
-        return StoppingTime(lattice, stopped)
-
-
-@dataclass
-class MeasureSelection:
-    """One adapted parameter selection: a grid index per decision state."""
-
-    indices: Dict[int, List[int]]  # period t -> grid index per time-(t-1) node
-
-    def as_selection(self, grid: Sequence[Any]) -> Selection:
-        return {t: [grid[i] for i in idx] for t, idx in self.indices.items()}
-
-
-def count_stopping_times(lattice: ScenarioLattice, t_start: int = 0, node: int = 0) -> int:
-    """Number of adapted stopping times on the subtree rooted at ``(t_start, node)``.
-
-    A rule may stop at any level from ``max(t_start, 1)`` through ``T`` or
-    never (value ``T + 1``); below the horizon each node decides
-    independently, so the count satisfies
-    ``f(node) = 1 + prod_children f(child)`` with ``f = 2`` at the last
-    level.  Stopping at time 0 is excluded: rules take values in 1..T+1.
+    Below the horizon each node decides independently, so the count
+    satisfies ``f(node) = 1 + prod_children f(child)`` with ``f = 2`` at the
+    last level; the root, which may not stop at time 0, has
+    ``prod_children f(child)``.
     """
     T = lattice.horizon
-    if not 0 <= t_start <= T:
-        raise ValidationError(f"t_start {t_start} outside [0, {T}]")
-
-    def f(t: int, j: int) -> int:
-        if t == T:
-            return 2
-        total = 1
-        for child in lattice.children(t, j):
-            total *= f(t + 1, int(child))
-        return 1 + total
-
-    if t_start == 0:
-        total = 1
-        for child in lattice.children(0, node):
-            total *= f(1, int(child))
-        return total
-    return f(t_start, node)
+    f = np.full(lattice.n_nodes(T), 2, dtype=object)  # exact integers
+    for t in range(T - 1, -1, -1):
+        f = np.multiply.reduceat(f, lattice.child_offsets[t][:-1])
+        if t > 0:
+            f = f + 1  # or stop here
+    return int(f[0])
 
 
-def enumerate_stopping_times(
-    lattice: ScenarioLattice,
-    t_start: int = 0,
-    node: int = 0,
-    cap: int = DEFAULT_CAP,
-) -> List[EnumeratedStoppingTime]:
-    """All adapted stopping rules on the subtree rooted at ``(t_start, node)``.
+def enumerate_stopping_times(lattice: ScenarioLattice, cap: int = DEFAULT_CAP) -> np.ndarray:
+    """All adapted stopping rules, one row each: tau along every terminal path.
+
+    Rules are built bottom-up.  A node's rules are "stop here" (not at the
+    root) followed by every combination of its children's rules, the first
+    child varying slowest; a node's leaves are a contiguous range, so a
+    combination is a concatenation of the children's rows.
 
     Raises:
         CapExceededError: if the count (computed first, without enumerating)
             exceeds ``cap``.
     """
-    n = count_stopping_times(lattice, t_start, node)
+    n = count_stopping_times(lattice)
     if n > cap:
         raise CapExceededError(f"{n} stopping times exceed the cap of {cap}")
     T = lattice.horizon
-
-    def leaves_under(t: int, j: int) -> np.ndarray:
-        idx = np.array([j], dtype=np.int64)
-        for s in range(t, T):
-            idx = np.concatenate([lattice.children(s, int(i)) for i in idx])
-        return idx
-
-    def enum(t: int, j: int, can_stop: bool = True) -> List[np.ndarray]:
-        """Per rule, tau along each terminal path below ``(t, j)`` (leaf order)."""
-        my_leaves = leaves_under(t, j)
-        rules = [np.full(len(my_leaves), t, dtype=np.int64)] if can_stop else []
-        if t == T:
-            rules.append(np.full(len(my_leaves), T + 1, dtype=np.int64))  # never
-            return rules
-        child_rules = [enum(t + 1, int(c)) for c in lattice.children(t, j)]
-        combos = [np.empty(0, dtype=np.int64)]
-        for per_child in child_rules:
-            combos = [np.concatenate([c, r]) for c in combos for r in per_child]
-        return rules + combos
-
-    # Stopping at time 0 is excluded, so the root offers no "stop now" branch.
-    out = [
-        EnumeratedStoppingTime(leaf_values=vals)
-        for vals in enum(t_start, node, can_stop=t_start > 0)
-    ]
-    assert len(out) == n
-    return out
+    rules = [np.array([[T], [T + 1]], dtype=np.int64)] * lattice.n_nodes(T)
+    for t in range(T - 1, -1, -1):
+        off = lattice.child_offsets[t]
+        level = []
+        for j in range(lattice.n_nodes(t)):
+            combos = np.empty((1, 0), dtype=np.int64)
+            for child in rules[off[j] : off[j + 1]]:
+                combos = np.hstack(
+                    [np.repeat(combos, len(child), axis=0), np.tile(child, (len(combos), 1))]
+                )
+            if t > 0:
+                combos = np.vstack([np.full((1, combos.shape[1]), t), combos])
+            level.append(combos)
+        rules = level
+    assert len(rules[0]) == n
+    return rules[0]
 
 
 def enumerate_selections(
     lattice: ScenarioLattice, grid: Sequence[Any], cap: int = DEFAULT_CAP
-) -> List[MeasureSelection]:
+) -> np.ndarray:
     """Every adapted parameter selection over the grid (rectangular hull).
 
-    One independent grid choice per decision state, i.e. per time-``t - 1``
-    node for each period ``t``.
+    One independent grid index per decision state, i.e. per time-``t - 1``
+    node for each period ``t``; states are ordered by period, then node.
+    Row ``code`` holds the base-``len(grid)`` digits of ``code``, least
+    significant first.
     """
     if len(grid) == 0:
         raise ValidationError("parameter grid must be nonempty")
     T = lattice.horizon
     n_states = sum(lattice.n_nodes(t - 1) for t in range(1, T + 1))
-    n = len(grid) ** n_states
+    k = len(grid)
+    n = k**n_states
     if n > cap:
         raise CapExceededError(f"{n} measure selections exceed the cap of {cap}")
-    k = len(grid)
-    out = []
-    for code in range(n):
-        rem = code
-        indices: Dict[int, List[int]] = {}
-        for t in range(1, T + 1):
-            row = []
-            for _ in range(lattice.n_nodes(t - 1)):
-                row.append(rem % k)
-                rem //= k
-            indices[t] = row
-        out.append(MeasureSelection(indices=indices))
-    return out
+    return (np.arange(n)[:, None] // k ** np.arange(n_states)) % k
+
+
+def selection_densities(
+    lattice: ScenarioLattice,
+    family: DensityFamily,
+    grid: Sequence[Any],
+    codes: np.ndarray,
+) -> np.ndarray:
+    """``D_T`` of every selection in ``codes`` (rows as from :func:`enumerate_selections`).
+
+    The density process of each grid point is built and validated once; a
+    selection's factor at a node is the factor of the grid point chosen at
+    its parent, so every level is one gather from the grid's factor table.
+    """
+    per_theta = [density_process(family, theta, lattice) for theta in grid]
+    d = np.ones((len(codes), 1))
+    start = 0
+    for t in range(1, lattice.horizon + 1):
+        table = np.stack([p.ratio(t) for p in per_theta])  # (grid, n_t)
+        stop = start + lattice.n_nodes(t - 1)
+        rows = codes[:, start:stop][:, lattice.parents[t]]
+        d = d[:, lattice.parents[t]] * table[rows, np.arange(lattice.n_nodes(t))]
+        start = stop
+    return d
 
 
 @dataclass
@@ -165,8 +129,8 @@ class OracleResult:
     sup_inf: float
     inf_sup: float
     envelope: float  # one-step Snell recursion on the same payoff, for cross-check
-    best_tau: EnumeratedStoppingTime
-    worst_selection: MeasureSelection
+    best_tau: np.ndarray  # tau along every terminal path
+    worst_selection: np.ndarray  # grid index per decision state
     n_stopping_times: int
     n_selections: int
     payoff_table: np.ndarray  # (n_selections, n_stopping_times)
@@ -222,7 +186,7 @@ def snell_bruteforce(
     ``H_tau(path)``.
     """
     T = lattice.horizon
-    taus = enumerate_stopping_times(lattice, 0, 0, cap=cap)
+    taus = enumerate_stopping_times(lattice, cap=cap)
     sels = enumerate_selections(lattice, grid, cap=cap)
     if len(taus) * len(sels) > cap:
         raise CapExceededError(
@@ -240,16 +204,9 @@ def snell_bruteforce(
     cols = [lattice.lift(v, max(tau - 1, 0), T) for tau, v in enumerate(by_level)]
     n_leaf = lattice.n_nodes(T)
     # G[leaf, i] = payoff of rule i along that terminal path
-    G = np.empty((n_leaf, len(taus)))
     stacked = np.stack(cols, axis=1)  # (n_leaf, T + 2)
-    rows = np.arange(n_leaf)
-    for i, tau in enumerate(taus):
-        G[:, i] = stacked[rows, tau.leaf_values]
-    base = lattice.path_probs(T)
-    M = np.empty((len(sels), n_leaf))
-    for s, sel in enumerate(sels):
-        d = density_process(family, sel.as_selection(grid), lattice)
-        M[s] = base * d.values[T]
+    G = stacked[np.arange(n_leaf)[:, None], taus.T]
+    M = lattice.path_probs(T) * selection_densities(lattice, family, grid, sels)
     table = M @ G  # (n_selections, n_rules)
     per_rule_inf = table.min(axis=0)
     best = int(np.argmax(per_rule_inf))

@@ -14,15 +14,17 @@ radius) and deterministic boundary/interior grids.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Any, Dict, List, Optional, Sequence, Union
+from dataclasses import dataclass, field
+from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 import scipy.linalg
-from scipy.stats import chi2, norm, qmc
 
 from .errors import ValidationError
 from .scenario import ScenarioLattice, StoppingTime
+
+# scipy.stats (about 22 MB and 0.5 s to import) is imported by the region and
+# grid functions that use it, so density processes and the oracle never load it.
 
 _MARTINGALE_TOL = 1e-10
 _MAX_DROP_FRACTION = 0.10
@@ -70,7 +72,10 @@ class ExponentialTiltFamily(DensityFamily):
 
     def factors(self, t: int, theta: Any) -> np.ndarray:
         lat = self.lattice
-        theta = float(np.asarray(theta).reshape(-1)[0])
+        theta = np.asarray(theta, dtype=np.float64)
+        if theta.size != 1:
+            raise ValidationError(f"tilt parameter must be a scalar, got {theta.size} values")
+        theta = float(theta.reshape(-1)[0])
         raw = np.exp(theta * self.scores[t])
         z = lat.cond_sum(t - 1, lat.probs[t] * raw)
         return raw / z[lat.parents[t]]
@@ -83,37 +88,47 @@ class ExponentialTiltFamily(DensityFamily):
 
 @dataclass
 class DensityProcess:
-    """Positive base-measure martingale ``D_t`` with ``D_0 = 1`` on a lattice."""
+    """Positive base-measure martingale held as its one-step factors.
+
+    ``factors[t - 1]`` is ``f_t``, one value per time-``t`` node.  The values
+    ``D_t = D_{t-1}[parent] * f_t`` with ``D_0 = 1`` are derived on
+    construction, after every factor is checked to be positive with
+    conditional mean 1 given its parent.
+    """
 
     lattice: ScenarioLattice
-    values: List[np.ndarray]
+    factors: List[np.ndarray]
+    values: List[np.ndarray] = field(init=False)
 
     def __post_init__(self) -> None:
-        self.values = [np.asarray(v, dtype=np.float64) for v in self.values]
+        lat = self.lattice
+        self.factors = [np.asarray(f, dtype=np.float64) for f in self.factors]
         self.validate()
+        self.values = [np.ones(1)]
+        for t, f in enumerate(self.factors, start=1):
+            self.values.append(self.values[-1][lat.parents[t]] * f)
+        for t, v in enumerate(self.values):
+            if np.any(v <= 0.0):
+                raise ValidationError(f"density process not positive at level {t}")
 
     def validate(self) -> None:
         lat = self.lattice
-        if len(self.values) != lat.horizon + 1:
-            raise ValidationError("density process must cover levels 0..T")
-        if abs(self.values[0][0] - 1.0) > _MARTINGALE_TOL:
-            raise ValidationError("density process must start at 1")
-        for t, v in enumerate(self.values):
-            if len(v) != lat.n_nodes(t):
-                raise ValidationError(f"density level {t} has wrong length")
-            if np.any(v <= 0.0):
-                raise ValidationError(f"density process not positive at level {t}")
-        for t in range(lat.horizon):
-            cond = lat.cond_sum(t, lat.probs[t + 1] * self.values[t + 1])
-            err = np.max(np.abs(cond - self.values[t]))
-            if err > _MARTINGALE_TOL * max(1.0, float(np.max(self.values[t]))):
+        if len(self.factors) != lat.horizon:
+            raise ValidationError("density process needs one factor per period 1..T")
+        for t, f in enumerate(self.factors, start=1):
+            if f.shape != (lat.n_nodes(t),):
+                raise ValidationError(f"density factor at level {t} has wrong length")
+            if np.any(f <= 0.0):
+                raise ValidationError(f"density factor not positive at level {t}")
+            err = np.max(np.abs(lat.cond_sum(t - 1, lat.probs[t] * f) - 1.0))
+            if err > _MARTINGALE_TOL:
                 raise ValidationError(
-                    f"martingale property violated at level {t} (error {err:.3g})"
+                    f"martingale property violated at level {t - 1} (error {err:.3g})"
                 )
 
     def ratio(self, t: int) -> np.ndarray:
         """One-step factor ``D_t / D_{t-1}`` per time-``t`` node."""
-        return self.values[t] / self.values[t - 1][self.lattice.parents[t]]
+        return self.factors[t - 1]
 
     def expectation(self, t: int) -> float:
         return float(np.dot(self.lattice.path_probs(t), self.values[t]))
@@ -122,10 +137,10 @@ class DensityProcess:
 Selection = Union[Any, Dict[int, Any]]
 
 
-def _selection_thetas(
+def _selection_rows(
     lattice: ScenarioLattice, selection: Selection, t: int
-) -> List[Any]:
-    """Thetas used for the step ``t`` factor, one per time-``t - 1`` node."""
+) -> Tuple[List[Any], np.ndarray]:
+    """Distinct thetas of the step-``t`` factor and a row index per time-``t - 1`` node."""
     n_prev = lattice.n_nodes(t - 1)
     if isinstance(selection, dict):
         if t not in selection:
@@ -135,14 +150,27 @@ def _selection_thetas(
         entry = selection
     # Per-state (rectangular) choices are given as a list indexed by the
     # time-(t - 1) nodes; any other type is a single theta used at all states.
-    if isinstance(entry, list):
-        if len(entry) != n_prev:
-            raise ValidationError(
-                f"selection at period {t} has {len(entry)} entries; an adapted "
-                f"choice must read only the {n_prev} time-{t - 1} states"
-            )
-        return list(entry)
-    return [entry] * n_prev
+    if not isinstance(entry, list):
+        return [entry], np.zeros(n_prev, dtype=np.int64)
+    if len(entry) != n_prev:
+        raise ValidationError(
+            f"selection at period {t} has {len(entry)} entries; an adapted "
+            f"choice must read only the {n_prev} time-{t - 1} states"
+        )
+    rows: Dict[Any, int] = {}
+    thetas: List[Any] = []
+    idx = np.empty(n_prev, dtype=np.int64)
+    for j, th in enumerate(entry):
+        try:
+            key = th
+            hash(key)
+        except TypeError:
+            key = id(th)
+        if key not in rows:
+            rows[key] = len(thetas)
+            thetas.append(th)
+        idx[j] = rows[key]
+    return thetas, idx
 
 
 def density_process(
@@ -152,28 +180,21 @@ def density_process(
 
     ``selection`` is a constant theta, a per-period dict of thetas, or a
     per-period dict of per-state theta lists indexed by time-``t - 1`` nodes
-    (the rectangular-hull case).  The result is validated as a positive
-    martingale starting at 1.
+    (the rectangular-hull case).  Each distinct theta is checked against the
+    region once per period; its factors form one row of a table, and the
+    step-``t`` factor is one gather ``table[idx[parents[t]], arange(n_t)]``.
     """
-    values = [np.ones(1)]
+    factors = []
     for t in range(1, lattice.horizon + 1):
-        thetas = _selection_thetas(lattice, selection, t)
-        unique: Dict[Any, np.ndarray] = {}
-        factor = np.empty(lattice.n_nodes(t))
-        for j, th in enumerate(thetas):
-            try:
-                key = th
-                hash(key)
-            except TypeError:
-                key = id(th)
-            if key not in unique:
-                if family.region is not None and not family.region.membership(th):
-                    raise ValidationError(f"selected theta {th!r} outside the region")
-                unique[key] = np.asarray(family.factors(t, th), dtype=np.float64)
-            children = lattice.children(t - 1, j)
-            factor[children] = unique[key][children]
-        values.append(values[-1][lattice.parents[t]] * factor)
-    return DensityProcess(lattice=lattice, values=values)
+        thetas, idx = _selection_rows(lattice, selection, t)
+        table = []
+        for th in thetas:
+            if family.region is not None and not family.region.membership(th):
+                raise ValidationError(f"selected theta {th!r} outside the region")
+            table.append(np.asarray(family.factors(t, th), dtype=np.float64))
+        nodes = np.arange(lattice.n_nodes(t))
+        factors.append(np.stack(table)[idx[lattice.parents[t]], nodes])
+    return DensityProcess(lattice=lattice, factors=factors)
 
 
 def paste(d1: DensityProcess, d2: DensityProcess, tau: StoppingTime) -> DensityProcess:
@@ -188,12 +209,12 @@ def paste(d1: DensityProcess, d2: DensityProcess, tau: StoppingTime) -> DensityP
         raise ValidationError("paste requires both processes and tau on one lattice")
     if tau.max_value() > lat.horizon:
         raise ValidationError("pasting requires a stopping time bounded by the horizon")
-    values = [np.ones(1)]
-    for s in range(1, lat.horizon + 1):
-        after = tau.stopped_by[s - 1][lat.parents[s]]  # {s > tau}, known at s - 1
-        ratio = np.where(after, d2.ratio(s), d1.ratio(s))
-        values.append(values[-1][lat.parents[s]] * ratio)
-    return DensityProcess(lattice=lat, values=values)
+    factors = [
+        # {s > tau} is known at s - 1
+        np.where(tau.stopped_by[s - 1][lat.parents[s]], d2.ratio(s), d1.ratio(s))
+        for s in range(1, lat.horizon + 1)
+    ]
+    return DensityProcess(lattice=lat, factors=factors)
 
 
 # ---------------------------------------------------------------------------
@@ -263,6 +284,8 @@ def ellipsoid_region(mu: np.ndarray, sigma: np.ndarray, p: float, k: int) -> Par
         chol = scipy.linalg.cholesky(0.5 * (sigma + sigma.T), lower=True)
     except scipy.linalg.LinAlgError as exc:
         raise ValidationError(f"covariance not positive definite: {exc}") from exc
+    from scipy.stats import chi2
+
     return ParamRegion(center=mu, chol=chol, radius2=float(chi2.ppf(p, k)), dim=k)
 
 
@@ -302,6 +325,8 @@ def _sphere_points(k: int, m: int) -> np.ndarray:
     if k == 2:
         ang = 2.0 * np.pi * np.arange(m) / m
         return np.column_stack([np.cos(ang), np.sin(ang)])
+    from scipy.stats import norm, qmc
+
     u = qmc.Halton(d=k, scramble=False).random(m + 1)[1:]
     z = norm.ppf(np.clip(u, 1e-12, 1.0 - 1e-12))
     return z / np.linalg.norm(z, axis=1, keepdims=True)
@@ -339,6 +364,8 @@ def interior_grid(region: ParamRegion, m: int, positive: Sequence[int] = ()) -> 
     """Deterministic low-discrepancy grid of interior points (center included)."""
     if region.is_point:
         return region.center[None, :]
+    from scipy.stats import norm, qmc
+
     k = region.dim
     u = qmc.Halton(d=k + 1, scramble=False).random(m + 1)[1:]
     z = norm.ppf(np.clip(u[:, :k], 1e-12, 1.0 - 1e-12))

@@ -16,7 +16,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.stats import norm
 
 from .errors import ValidationError
 
@@ -56,6 +55,8 @@ def gaussian_c(spec: RiskMeasureSpec) -> float:
     ``Phi^{-1}(1 - q)`` for value-at-risk, ``phi(Phi^{-1}(1 - q)) / q`` for
     average value-at-risk.
     """
+    from scipy.stats import norm  # on first use: the lattice kernel never needs scipy.stats
+
     z = norm.ppf(1.0 - spec.level)
     if spec.kind == VAR:
         return float(z)

@@ -161,7 +161,8 @@ def value_multiprior(
     """Full backward recursion for the multiple-prior value on a lattice.
 
     The recursion is exact.  The residual cash flow must carry one finite
-    value per lattice node at each time 1..T.
+    value per lattice node at each time 1..T, and every grid point must lie
+    in the family's region, if it has one.
     """
     if not isinstance(lattice, ScenarioLattice):
         raise ValidationError(
@@ -173,6 +174,10 @@ def value_multiprior(
     assert_adapted(lattice, cf.residual)
     if len(grid) == 0:
         raise ValidationError("parameter grid must be nonempty")
+    if family.region is not None:
+        for theta in grid:
+            if not family.region.membership(theta):
+                raise ValidationError(f"theta {theta!r} outside the parameter region")
     zeros_T = np.zeros(lattice.n_nodes(T))
     R = {T: zeros_T.copy()}
     C = {T: zeros_T.copy()}
@@ -208,8 +213,6 @@ def value_singleprior(
     lattice: ScenarioLattice,
 ) -> ValuationOutput:
     """Recursion under the single prior selected by ``theta``."""
-    if family.region is not None and not family.region.membership(theta):
-        raise ValidationError(f"theta {theta!r} outside the parameter region")
     return value_multiprior(cf, rm, family, [theta], lattice)
 
 

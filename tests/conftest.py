@@ -2,8 +2,10 @@
 
 import numpy as np
 import pytest
+from hypothesis import strategies as st
 
 from ambival.oracle import random_instance as make_instance
+from ambival.priors import ExponentialTiltFamily
 from ambival.scenario import build_lattice
 
 
@@ -18,6 +20,41 @@ def cell(result, case, p, q):
 def make_lattice(rng, horizon, branching):
     """Random strictly positive transition tree with fixed shape."""
     return make_instance(rng, horizon, branching)[0]
+
+
+@st.composite
+def ragged_selections(draw):
+    """``(lattice, family, grid, codes)``: a ragged tree and per-state selections.
+
+    Horizon 1-3, each node with 1-4 children; ``codes`` holds a few
+    selections, one grid index per decision state ordered by period, then
+    node, as the oracle enumerates them.
+    """
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    transitions, n_nodes = [], 1
+    for _ in range(draw(st.integers(1, 3))):
+        rows = []
+        for _ in range(n_nodes):
+            w = rng.uniform(0.1, 1.0, draw(st.integers(1, 4)))
+            rows.append(w / w.sum())
+        transitions.append(rows)
+        n_nodes = sum(len(r) for r in rows)
+    lattice = build_lattice(transitions)
+    scores = [rng.normal(0.0, 1.0, lattice.n_nodes(t)) for t in range(lattice.horizon + 1)]
+    grid = list(rng.uniform(-1.0, 1.0, draw(st.integers(1, 3))))
+    n_states = sum(lattice.n_nodes(t) for t in range(lattice.horizon))
+    codes = rng.integers(0, len(grid), (draw(st.integers(1, 4)), n_states))
+    return lattice, ExponentialTiltFamily(lattice, scores), grid, codes
+
+
+def per_state_dict(lattice, grid, code):
+    """One selection row as ``density_process`` reads it: period -> theta per state."""
+    sel, start = {}, 0
+    for t in range(1, lattice.horizon + 1):
+        stop = start + lattice.n_nodes(t - 1)
+        sel[t] = [grid[i] for i in code[start:stop]]
+        start = stop
+    return sel
 
 
 @pytest.fixture

@@ -2,23 +2,43 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
 
-from ambival.errors import CapExceededError, ValidationError
+from ambival.errors import CapExceededError
 from ambival.oracle import (
     count_stopping_times,
     enumerate_selections,
     enumerate_stopping_times,
+    selection_densities,
     snell_bruteforce,
 )
+from ambival.priors import density_process
 from ambival.riskmeasures import AVAR, VAR, RiskMeasureSpec
-from ambival.scenario import AdaptedProcess, build_lattice
+from ambival.scenario import AdaptedProcess, StoppingTime, build_lattice
 from ambival.valuation import CashFlowSpec, value_multiprior
-from conftest import make_instance
+from conftest import make_instance, per_state_dict, ragged_selections
 
 
 def chain_lattice(horizon):
     """Deterministic single-branch tree."""
     return build_lattice([[[1.0]] for _ in range(horizon)])
+
+
+def as_stopping_time(lattice, leaf_values):
+    """The stopping time with ``tau <= t`` at a level-``t`` node iff at its leaves.
+
+    Fails if the leaves below one node disagree, i.e. if the rule is not
+    adapted.
+    """
+    T = lattice.horizon
+    node = np.arange(lattice.n_nodes(T))  # level-t ancestor of each leaf
+    stopped = [None] * (T + 1)
+    for t in range(T, -1, -1):
+        stopped[t] = np.zeros(lattice.n_nodes(t), dtype=bool)
+        stopped[t][node] = leaf_values <= t
+        np.testing.assert_array_equal(stopped[t][node], leaf_values <= t)
+        node = lattice.parents[t][node] if t > 0 else node
+    return StoppingTime(lattice, stopped)
 
 
 class TestCounts:
@@ -29,10 +49,9 @@ class TestCounts:
         assert count_stopping_times(chain_lattice(5)) == 6
 
     def test_binomial_counts(self, binomial_lattice):
-        # from a time-1 node: stop at 1, or decide per child in {2, 3}
-        assert count_stopping_times(binomial_lattice, 1, 0) == 5
-        # from the root (no stopping at 0): independent subtree choices
-        assert count_stopping_times(binomial_lattice, 0, 0) == 25
+        # each time-1 node stops at 1 or decides per child in {2, 3}: 1 + 2 * 2;
+        # the root cannot stop, so its two subtrees choose independently
+        assert count_stopping_times(binomial_lattice) == 25
 
     def test_counts_match_enumeration(self, rng):
         for shape in [(1, 3), (2, 2), (3, 2)]:
@@ -40,16 +59,13 @@ class TestCounts:
             taus = enumerate_stopping_times(lattice)
             assert len(taus) == count_stopping_times(lattice)
             # all rules distinct
-            seen = {tuple(tau.leaf_values) for tau in taus}
+            seen = {tuple(tau) for tau in taus}
             assert len(seen) == len(taus)
 
     def test_selection_count(self, binomial_lattice):
         sels = enumerate_selections(binomial_lattice, [0.0, 1.0])
-        assert len(sels) == 2 ** (1 + 2)
-        seen = {
-            tuple(tuple(v) for v in s.indices.values()) for s in sels
-        }
-        assert len(seen) == len(sels)
+        assert sels.shape == (2 ** (1 + 2), 1 + 2)
+        assert len({tuple(s) for s in sels}) == len(sels)
 
     def test_caps_fail_loudly(self, binomial_lattice):
         with pytest.raises(CapExceededError, match="cap"):
@@ -57,24 +73,30 @@ class TestCounts:
         with pytest.raises(CapExceededError, match="cap"):
             enumerate_selections(binomial_lattice, [0.0, 1.0], cap=5)
 
-    def test_rejects_bad_start(self, binomial_lattice):
-        with pytest.raises(ValidationError, match="outside"):
-            count_stopping_times(binomial_lattice, 5, 0)
-
 
 class TestEnumeratedObjects:
     def test_rules_are_valid_stopping_times(self, rng):
         lattice, _, _, _ = make_instance(rng, 2, 2)
         for tau in enumerate_stopping_times(lattice):
-            st = tau.as_stopping_time(lattice)  # validates adaptedness
-            np.testing.assert_array_equal(st.value_at_leaves(), tau.leaf_values)
+            st = as_stopping_time(lattice, tau)  # validates adaptedness
+            np.testing.assert_array_equal(st.value_at_leaves(), tau)
 
     def test_selection_round_trip(self, binomial_lattice):
         grid = [10.0, 20.0]
         sels = enumerate_selections(binomial_lattice, grid)
-        sel = sels[5].as_selection(grid)
-        assert set(sel) == {1, 2}
-        assert all(v in grid for row in sel.values() for v in row)
+        # selection 5 = 1 + 0 * 2 + 1 * 4: digits per state, least significant first
+        np.testing.assert_array_equal(sels[5], [1, 0, 1])
+        sel = per_state_dict(binomial_lattice, grid, sels[5])
+        assert sel == {1: [20.0], 2: [10.0, 20.0]}
+
+    @settings(max_examples=100, deadline=None)
+    @given(ragged_selections())
+    def test_batch_densities_match_density_process(self, problem):
+        lattice, family, grid, codes = problem
+        batch = selection_densities(lattice, family, grid, codes)
+        for code, row in zip(codes, batch):
+            d = density_process(family, per_state_dict(lattice, grid, code), lattice)
+            assert row.tobytes() == d.values[lattice.horizon].tobytes()
 
 
 class TestBruteForce:
@@ -127,7 +149,7 @@ class TestBruteForce:
         r_levels = {t: np.zeros(1) for t in range(4)}
         res = snell_bruteforce(lattice, family, grid, r_levels, payload)
         assert abs(res.sup_inf - 3.0) < 1e-15
-        np.testing.assert_array_equal(res.best_tau.leaf_values, [4])
+        np.testing.assert_array_equal(res.best_tau, [4])
 
     def test_grid_relabeling_invariance(self, rng):
         lattice, payload, family, grid = make_instance(rng, 2, 2)

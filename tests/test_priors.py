@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
 
 from ambival.errors import ValidationError
 from ambival.priors import (
@@ -16,7 +17,7 @@ from ambival.priors import (
     project_region,
 )
 from ambival.scenario import StoppingTime
-from conftest import make_instance
+from conftest import make_instance, per_state_dict, ragged_selections
 
 
 class ExplicitFactorFamily(DensityFamily):
@@ -55,14 +56,44 @@ class TestDensityProcess:
                     assert abs(d.expectation(t) - 1.0) < 1e-12
 
     def test_rejects_broken_martingale(self, binomial_lattice):
-        values = [np.ones(1), np.array([1.5, 0.5]), np.ones(4)]
-        with pytest.raises(ValidationError, match="martingale"):
-            DensityProcess(lattice=binomial_lattice, values=values)
+        # the second-period factor has mean 1.25 under the first time-1 node
+        factors = [np.array([1.5, 0.5]), np.array([1.5, 1.0, 1.0, 1.0])]
+        with pytest.raises(ValidationError, match="martingale property violated at level 1"):
+            DensityProcess(lattice=binomial_lattice, factors=factors)
 
-    def test_rejects_wrong_start(self, binomial_lattice):
-        values = [np.array([2.0]), np.array([2.0, 2.0]), np.full(4, 2.0)]
-        with pytest.raises(ValidationError, match="start at 1"):
-            DensityProcess(lattice=binomial_lattice, values=values)
+    def test_rejects_bad_factor_levels(self, binomial_lattice):
+        ok = [np.ones(2), np.ones(4)]
+        with pytest.raises(ValidationError, match="one factor per period"):
+            DensityProcess(lattice=binomial_lattice, factors=ok[:1])
+        with pytest.raises(ValidationError, match="wrong length"):
+            DensityProcess(lattice=binomial_lattice, factors=[ok[0], np.ones(3)])
+        with pytest.raises(ValidationError, match="not positive at level 2"):
+            DensityProcess(lattice=binomial_lattice, factors=[ok[0], np.array([2.0, 0.0, 1.0, 1.0])])
+
+    @settings(max_examples=100, deadline=None)
+    @given(ragged_selections())
+    def test_per_state_values_are_the_node_by_node_product(self, problem):
+        lattice, family, grid, codes = problem
+        sel = per_state_dict(lattice, grid, codes[0])
+        d = density_process(family, sel, lattice)
+        expected = np.ones(1)
+        for t in range(1, lattice.horizon + 1):
+            level = np.empty(lattice.n_nodes(t))
+            for i, parent in enumerate(lattice.parents[t]):
+                level[i] = expected[parent] * family.factors(t, sel[t][parent])[i]
+            expected = level
+            assert d.values[t].tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize(
+        "theta", [(0.5, -0.5), np.array([0.5, -0.5]), [0.5, 3.0]], ids=["tuple", "ndarray", "list"]
+    )
+    def test_tilt_rejects_a_theta_of_several_values(self, rng, theta):
+        lattice, _, family, _ = make_instance(rng, 2, 2)
+        with pytest.raises(ValidationError, match="scalar"):
+            family.factors(1, theta)
+        if not isinstance(theta, list):  # a list is a per-state choice
+            with pytest.raises(ValidationError, match="scalar"):
+                density_process(family, {1: 0.0, 2: theta}, lattice)
 
     def test_per_state_selection(self, rng):
         lattice, _, family, grid = make_instance(rng, 2, 2)

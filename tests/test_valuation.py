@@ -175,6 +175,16 @@ class TestRecursion:
         with pytest.raises(ValidationError, match="region"):
             value_singleprior(make_cf(payload), RiskMeasureSpec(VAR, 0.1), family, 0.5, lattice)
 
+    @pytest.mark.parametrize("bound", ["value_multiprior", "lower_bound"])
+    def test_grid_outside_the_region_is_rejected(self, rng, bound):
+        from ambival.priors import ellipsoid_region
+
+        lattice, payload, family, _ = make_instance(rng, 1, 3)
+        family.region = ellipsoid_region(np.zeros(1), np.eye(1), 0.5, 1)  # radius 0.67
+        fn = {"value_multiprior": value_multiprior, "lower_bound": lower_bound}[bound]
+        with pytest.raises(ValidationError, match="outside the parameter region"):
+            fn(make_cf(payload), RiskMeasureSpec(VAR, 0.1), family, [0.0, 5.0], lattice)
+
     def test_sample_backend_without_layer_is_rejected(self, rng):
         # only a lattice carries the conditional layers the recursion needs
         lattice, payload, family, grid = make_instance(rng, 1, 3)
@@ -279,12 +289,7 @@ class TestDefaultTimes:
             # locate the enumerated rule equal to the recursion's default time
             from ambival.oracle import enumerate_stopping_times
 
-            col = None
-            for i, cand in enumerate(enumerate_stopping_times(lattice)):
-                if np.array_equal(cand.leaf_values, leaf):
-                    col = i
-                    break
-            assert col is not None
+            (col,) = np.nonzero((enumerate_stopping_times(lattice) == leaf).all(axis=1))[0]
             worst_for_tau = res.payoff_table[:, col].min()
             assert abs(worst_for_tau - out.c0) < 1e-12
 
