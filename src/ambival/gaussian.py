@@ -48,7 +48,6 @@ CASE1 = "CASE1"
 CASE2 = "CASE2"
 
 _SIGMA_FLOOR = 1e-12
-_CHUNK = 32
 _M_SEARCH = 512  # coarse full-dimensional boundary grid of the worst-case searches
 
 # coordinate layout of theta vectors
@@ -376,7 +375,11 @@ def _boundary_search(
 
 @dataclass
 class _BaseSample:
-    """Common random numbers of one cell and the base-measure positions on them."""
+    """Common random numbers of one cell and the base-measure positions on them.
+
+    Paths are sorted by ``eps_01``: ``C_{0,1}`` then increases along them under
+    every theta (``sigma0 > 0``), and no estimator depends on the path order.
+    """
 
     eps_m12: np.ndarray  # development of year -1 in period 1
     eps_01: np.ndarray  # first column of year 0
@@ -386,6 +389,8 @@ class _BaseSample:
 
 def _p_sample(model: GaussianModel, n: int, seed: int, c: float) -> _BaseSample:
     eps_m12, eps_01 = scenario.simulate_paths(2, n, seed).T
+    order = np.argsort(eps_01, kind="stable")
+    eps_m12, eps_01 = eps_m12[order], eps_01[order]
     c01, y = _x1_plus_r1(model, model.theta, eps_m12, eps_01, c)
     return _BaseSample(eps_m12=eps_m12, eps_01=eps_01, c01=c01, y=y)
 
@@ -395,11 +400,9 @@ def _x1_plus_r1(
 ) -> Tuple[np.ndarray, np.ndarray]:
     """``(C_{0,1}, X_1 + R_1)`` per path when the data evolve under ``theta``.
 
-    ``theta`` rows broadcast against the path axis; ``R_1`` is always the
-    base-measure capital requirement.
+    ``R_1`` is always the base-measure capital requirement.
     """
-    b0, s0 = theta[..., _B0, None], theta[..., _S0, None]
-    b1, s1 = theta[..., _B1, None], theta[..., _S1, None]
+    b0, s0, b1, s1 = theta
     c01 = b0 + s0 / math.sqrt(model.v0) * eps_01
     x1 = (
         model.v_m1 * (b1 - 1.0) * model.c_m11
@@ -410,22 +413,18 @@ def _x1_plus_r1(
     return c01, x1 + r1
 
 
-def _chunked_objective(
-    fn: Callable[[np.ndarray], np.ndarray], threads: int = 1
+def _per_theta(
+    fn: Callable[[np.ndarray], float], threads: int = 1
 ) -> Callable[[np.ndarray], np.ndarray]:
-    """Evaluate a per-theta objective in fixed-size chunks (optionally threaded)."""
+    """Map a single-theta objective over the rows of a theta array (optionally threaded)."""
 
     def run(thetas: np.ndarray) -> np.ndarray:
-        thetas = np.atleast_2d(thetas)
-        chunks = [thetas[i : i + _CHUNK] for i in range(0, len(thetas), _CHUNK)]
-        if threads > 1 and len(chunks) > 1:
+        if threads > 1 and len(thetas) > 1:
             from concurrent.futures import ThreadPoolExecutor
 
             with ThreadPoolExecutor(max_workers=threads) as ex:
-                parts = list(ex.map(fn, chunks))
-        else:
-            parts = [fn(ch) for ch in chunks]
-        return np.concatenate(parts)
+                return np.array(list(ex.map(fn, thetas)))
+        return np.array([fn(theta) for theta in thetas])
 
     return run
 
@@ -484,22 +483,22 @@ def case1_bounds(
     c = gaussian_c(cfg.rm)
     base = _p_sample(model, cfg.n, cfg.seed, c)
 
-    def value(thetas: np.ndarray) -> np.ndarray:
-        c01_q, y_base_q = _x1_plus_r1(model, thetas, base.eps_m12, base.eps_01, c)
-        g_p = closed_form_g(thetas[..., [_B1, _S1]][..., None, :], base.c01, model, c)
-        g_q = closed_form_g(thetas[..., [_B1, _S1]][..., None, :], c01_q, model, c)
+    def value(theta: np.ndarray) -> float:
+        c01_q, y_base_q = _x1_plus_r1(model, theta, base.eps_m12, base.eps_01, c)
+        g_p = closed_form_g(theta[[_B1, _S1]], base.c01, model, c)
+        g_q = closed_form_g(theta[[_B1, _S1]], c01_q, model, c)
         r0 = apply_empirical(cfg.rm, -(base.y - g_p))
-        return r0 - np.maximum(r0[..., None] - (y_base_q - g_q), 0.0).mean(axis=-1)
+        return r0 - np.maximum(r0 - (y_base_q - g_q), 0.0).mean()
 
-    chunked = _chunked_objective(value, cfg.threads)
+    objective = _per_theta(value, cfg.threads)
     lower, arg = _boundary_search(
-        region, chunked, maximize=True, m=_M_SEARCH, positive=(_S0, _S1)
+        region, objective, maximize=True, m=_M_SEARCH, positive=(_S0, _S1)
     )
     if not region.is_point:
         # Boundary attainment of the supremum is plausible but unproven; a
         # coarse interior sweep flags any clear counterexample.
         inner = interior_grid(region, 64, positive=(_S0, _S1))
-        excess = float(chunked(inner).max()) - lower
+        excess = float(objective(inner).max()) - lower
         if excess > 0.005:
             logger.warning(
                 "interior point beats the boundary maximum by %.4f", excess
@@ -608,17 +607,12 @@ def case2_value(
     h = fit_h(model, proj, c, m_boundary=cfg.m_boundary, knots=cfg.knots)
     r0 = float(apply_empirical(cfg.rm, -(base.y - h(base.c01))))
 
-    def deficit(thetas: np.ndarray) -> np.ndarray:
-        c01_q, y_base_q = _x1_plus_r1(model, thetas, base.eps_m12, base.eps_01, c)
-        y_q = y_base_q - h(c01_q)
-        return np.maximum(r0 - y_q, 0.0).mean(axis=-1)
+    def deficit(theta: np.ndarray) -> float:
+        c01_q, y_base_q = _x1_plus_r1(model, theta, base.eps_m12, base.eps_01, c)
+        return np.maximum(r0 - (y_base_q - h(c01_q)), 0.0).mean()
 
     c0, arg = _boundary_search(
-        region,
-        _chunked_objective(deficit, cfg.threads),
-        maximize=False,
-        m=_M_SEARCH,
-        positive=(_S0, _S1),
+        region, _per_theta(deficit, cfg.threads), maximize=False, m=_M_SEARCH, positive=(_S0, _S1)
     )
     return r0 - c0, case2_upper(model, region), arg
 

@@ -184,8 +184,11 @@ def density_process(
     region once per period; its factors form one row of a table, and the
     step-``t`` factor is one gather ``table[idx[parents[t]], arange(n_t)]``.
     """
+    periods = range(1, lattice.horizon + 1)
+    if isinstance(selection, dict) and not set(selection) <= set(periods):
+        raise ValidationError(f"selection periods must lie in 1..{lattice.horizon}")
     factors = []
-    for t in range(1, lattice.horizon + 1):
+    for t in periods:
         thetas, idx = _selection_rows(lattice, selection, t)
         table = []
         for th in thetas:
@@ -248,6 +251,8 @@ class ParamRegion:
 
     def mahalanobis2(self, z: np.ndarray) -> np.ndarray:
         z = np.atleast_2d(np.asarray(z, dtype=np.float64))
+        if z.shape[-1] != self.dim:
+            raise ValidationError(f"theta has {z.shape[-1]} coordinates, not {self.dim}")
         y = scipy.linalg.solve_triangular(self.chol, (z - self.center).T, lower=True)
         out = np.sum(y * y, axis=0)
         return out if out.size > 1 else out[0]

@@ -68,8 +68,9 @@ def apply_empirical(spec: RiskMeasureSpec, y: np.ndarray) -> np.ndarray:
 
     V@R is the ``ceil((1 - q) n)``-th loss order statistic of the row, found
     by a partial sort; AV@R is the exact mean of the upper-``q`` loss tail with
-    a fractional weight on the marginal order statistic.  A 1-D sample gives a
-    scalar.
+    a fractional weight on the marginal order statistic, from a sort of only
+    the ``ceil(q n) + 1`` largest losses (later ones carry zero weight; the
+    extra one absorbs the rounding of ``q n``).  A 1-D sample gives a scalar.
     """
     losses = _as_losses(y)
     n = losses.shape[-1]
@@ -77,10 +78,10 @@ def apply_empirical(spec: RiskMeasureSpec, y: np.ndarray) -> np.ndarray:
         k = int(np.ceil((1.0 - spec.level) * n - _TIE_EPS))
         k = min(max(k, 1), n)
         return np.partition(losses, k - 1, axis=-1)[..., k - 1]
-    srt = np.sort(losses, axis=-1)[..., ::-1]
-    cum_before = np.arange(n) / n
-    tail_w = np.clip(spec.level - cum_before, 0.0, 1.0 / n)
-    return srt @ tail_w / spec.level
+    k = min(int(np.ceil(spec.level * n)) + 1, n)
+    top = np.sort(np.partition(losses, n - k, axis=-1)[..., n - k :], axis=-1)[..., ::-1]
+    tail_w = np.clip(spec.level - np.arange(k) / n, 0.0, 1.0 / n)
+    return top @ tail_w / spec.level
 
 
 def apply_discrete(

@@ -34,7 +34,7 @@ from ambival.gaussian import (
     table1_csv,
 )
 from ambival.priors import density_process, point_region, project_region
-from ambival.riskmeasures import VAR, RiskMeasureSpec, apply_empirical, gaussian_c
+from ambival.riskmeasures import AVAR, VAR, RiskMeasureSpec, apply_empirical, gaussian_c
 from ambival.scenario import AdaptedProcess
 from ambival.valuation import CashFlowSpec, value_multiprior
 
@@ -283,11 +283,13 @@ class TestCaseBounds:
 
     def test_threads_do_not_change_the_result(self):
         region = region_for(self.cloud, 0.1)
-        for bounds in (case1_bounds, case2_value):
-            lo1, up1, arg1 = bounds(self.fast_cfg(), self.model, region)
-            lo2, up2, arg2 = bounds(replace(self.fast_cfg(), threads=2), self.model, region)
-            assert (lo1, up1) == (lo2, up2)
-            np.testing.assert_array_equal(arg1, arg2)
+        for rm in (RiskMeasureSpec(VAR, 0.05), RiskMeasureSpec(AVAR, 0.05)):
+            cfg = replace(self.fast_cfg(), rm=rm)
+            for bounds in (case1_bounds, case2_value):
+                lo1, up1, arg1 = bounds(cfg, self.model, region)
+                lo2, up2, arg2 = bounds(replace(cfg, threads=2), self.model, region)
+                assert (lo1, up1) == (lo2, up2)
+                np.testing.assert_array_equal(arg1, arg2)
 
     def test_config_validation(self):
         with pytest.raises(ValidationError, match="n >= 1000"):

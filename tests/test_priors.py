@@ -121,6 +121,12 @@ class TestDensityProcess:
         with pytest.raises(ValidationError, match="adapted"):
             density_process(family, {1: grid[0], 2: [0.1, 0.2, 0.3, 0.4]}, lattice)
 
+    def test_rejects_periods_outside_the_horizon(self, rng):
+        lattice, _, family, _ = make_instance(rng, 2, 2)
+        for extra in (0, 3, 5):
+            with pytest.raises(ValidationError, match=r"periods must lie in 1..2"):
+                density_process(family, {1: 0.0, 2: 0.0, extra: 3.0}, lattice)
+
 
 class TestPasting:
     def test_pasted_process_is_valid_and_spliced(self, rng):
@@ -177,6 +183,16 @@ class TestRegions:
         on_boundary = region.center + np.array([2.0 * r, 0.0])
         assert region.membership(on_boundary)
         assert not region.membership(region.center + np.array([2.0 * r + 0.01, 0.0]))
+
+    def test_rejects_theta_of_another_dimension(self):
+        plane = ellipsoid_region(np.zeros(2), np.eye(2), 0.5, 2)
+        line = ellipsoid_region(np.zeros(1), np.eye(1), 0.5, 1)
+        for region, theta in ((plane, 0.1), (plane, [0.1, 0.1, 0.1]), (line, [0.1, 0.1])):
+            with pytest.raises(ValidationError, match="coordinates"):
+                region.membership(theta)
+            with pytest.raises(ValidationError, match="coordinates"):
+                region.mahalanobis2(np.atleast_2d(theta))
+        assert plane.membership([0.1, 0.1]) and line.membership(0.1)
 
     def test_point_region(self):
         region = point_region(np.array([1.0, 2.0, 3.0]))

@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ambival.errors import ValidationError
@@ -45,6 +45,35 @@ def one_law_reference(kind, values, probs, q):
     order = np.argsort(-losses, kind="stable")
     cum_before = np.concatenate(([0.0], np.cumsum(probs[order])[:-1]))
     return np.dot(np.clip(q - cum_before, 0.0, probs[order]), losses[order]) / q
+
+
+def full_sort_reference(kind, y, q):
+    """Each row's risk measure from a full sort of its losses, every weight kept."""
+    losses = np.sort(-y, axis=-1)
+    n = losses.shape[-1]
+    if kind == VAR:
+        k = min(max(int(np.ceil((1.0 - q) * n - 1e-9)), 1), n)
+        return losses[..., k - 1]
+    tail_w = np.clip(q - np.arange(n) / n, 0.0, 1.0 / n)
+    return losses[..., ::-1] @ tail_w / q
+
+
+@st.composite
+def sample_batches(draw):
+    """Rows of 1-300 rounded values (ties likely) and a level q with q n below 1,
+    whole, or anywhere in (0, 1)."""
+    n = draw(st.integers(1, 300))
+    rows = draw(st.integers(1, 3))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    y = np.round(rng.normal(size=(rows, n)) * 10.0 ** draw(st.integers(-2, 6)),
+                 draw(st.sampled_from([0, 1, 8])))
+    unit = st.floats(0.0, 1.0, exclude_min=True, exclude_max=True)
+    q = draw(st.one_of(
+        unit,
+        unit.map(lambda u: u / n).filter(lambda q: q > 0.0),
+        st.integers(1, max(n - 1, 1)).map(lambda j: j / n).filter(lambda q: q < 1.0),
+    ))
+    return y, q
 
 
 @st.composite
@@ -172,6 +201,25 @@ class TestBatch:
                 rows = [apply_empirical(rm, row) for row in y]
                 assert all(np.ndim(r) == 0 for r in rows)
                 np.testing.assert_array_equal(batch, rows)
+
+
+    @given(batch=sample_batches())
+    @example(batch=(np.random.default_rng(7).normal(size=(2, 10**5)), 0.0512345))
+    @example(batch=(np.round(np.random.default_rng(8).normal(size=(1, 10**5)) * 10.0), 0.0123456))
+    @settings(max_examples=300, deadline=None)
+    def test_matches_a_full_sort_in_any_row_order(self, batch):
+        # only the upper tail is sorted; the sample order never matters.  At
+        # n = 10^5 np.partition leaves that tail unordered (at 300 it does not)
+        y, q = batch
+        tol = 1e-14 * np.max(np.abs(y), axis=-1)
+        shuffled = np.random.default_rng(0).permuted(y, axis=-1)
+        var, avar = RiskMeasureSpec(VAR, q), RiskMeasureSpec(AVAR, q)
+        ref = full_sort_reference(AVAR, y, q)
+        for z in (y, shuffled):
+            np.testing.assert_array_equal(apply_empirical(var, z), full_sort_reference(VAR, y, q))
+            assert np.all(np.abs(apply_empirical(avar, z) - ref) <= tol)
+            for row, r, t in zip(z, ref, tol):
+                assert abs(apply_empirical(avar, row) - r) <= t
 
 
 class TestLevel:
