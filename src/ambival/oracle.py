@@ -154,6 +154,9 @@ def snell_recursion(
     T = lattice.horizon
     u = np.maximum(h_by_level[T][lattice.parents[T]], h_by_level[T + 1])
     for t in range(T - 1, -1, -1):
+        # Whole levels, one grid point at a time: this is the unblocked
+        # reference that the ``envelope`` cross-check holds the blocked
+        # ``valuation.worst_case_cond_exp`` against.
         cont = None
         for theta in grid:
             f = np.asarray(family.factors(t + 1, theta), dtype=np.float64)

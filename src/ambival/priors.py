@@ -21,7 +21,7 @@ import numpy as np
 import scipy.linalg
 
 from .errors import ValidationError
-from .scenario import ScenarioLattice, StoppingTime
+from .scenario import LevelBlock, ScenarioLattice, StoppingTime
 
 # scipy.stats (about 22 MB and 0.5 s to import) is imported by the region and
 # grid functions that use it, so density processes and the oracle never load it.
@@ -38,14 +38,17 @@ _MAX_DROP_FRACTION = 0.10
 class DensityFamily:
     """One-step density factors ``f_t(theta)``.
 
-    Lattice families implement :meth:`factors`: one factor per time-``t``
-    lattice node.
+    Lattice families implement :meth:`factors`.  ``factors(t, theta)``
+    returns one factor per time-``t`` lattice node.  ``factors(t, theta,
+    block)``, with a :class:`~ambival.scenario.LevelBlock` of level ``t - 1``,
+    returns the factors of the block's children only, in level order; they
+    equal the matching slice of the whole-level factors bit for bit.
     """
 
     dim: int = 1
     region: Optional["ParamRegion"] = None
 
-    def factors(self, t: int, theta: Any) -> np.ndarray:
+    def factors(self, t: int, theta: Any, block: Optional[LevelBlock] = None) -> np.ndarray:
         raise ValidationError(f"{type(self).__name__} has no lattice factors")
 
 
@@ -54,7 +57,8 @@ class ExponentialTiltFamily(DensityFamily):
 
     ``f_t(theta)`` at a node is ``exp(theta * score) / Z(parent)`` with the
     normalizer chosen per parent, so conditional mean 1 holds exactly by
-    construction and every factor is strictly positive.
+    construction and every factor is strictly positive.  A scalar score
+    stands for the same score at every node of its level.
     """
 
     def __init__(
@@ -64,21 +68,33 @@ class ExponentialTiltFamily(DensityFamily):
         region: Optional["ParamRegion"] = None,
     ) -> None:
         self.lattice = lattice
-        self.scores = [np.asarray(s, dtype=np.float64) for s in scores]
-        if len(self.scores) != lattice.horizon + 1:
+        if len(scores) != lattice.horizon + 1:
             raise ValidationError("need one score array per level 0..T")
+        self.scores = []
+        for t, s in enumerate(scores):
+            s = np.asarray(s, dtype=np.float64)
+            n = lattice.n_nodes(t)
+            if s.shape == ():
+                s = np.full(n, s)
+            elif s.shape != (n,):
+                raise ValidationError(f"score at level {t} has shape {s.shape}, not ({n},)")
+            self.scores.append(s)
         self.dim = 1
         self.region = region
 
-    def factors(self, t: int, theta: Any) -> np.ndarray:
+    def factors(self, t: int, theta: Any, block: Optional[LevelBlock] = None) -> np.ndarray:
         lat = self.lattice
         theta = np.asarray(theta, dtype=np.float64)
         if theta.size != 1:
             raise ValidationError(f"tilt parameter must be a scalar, got {theta.size} values")
         theta = float(theta.reshape(-1)[0])
-        raw = np.exp(theta * self.scores[t])
-        z = lat.cond_sum(t - 1, lat.probs[t] * raw)
-        return raw / z[lat.parents[t]]
+        scores, probs, parent_of = self.scores[t], lat.probs[t], lat.parents[t]
+        if block is not None:
+            scores, probs = scores[block.children], probs[block.children]
+            parent_of = block.parent_of
+        raw = np.exp(theta * scores)
+        z = lat.cond_sum(t - 1, probs * raw, block)
+        return raw / z[parent_of]
 
 
 # ---------------------------------------------------------------------------
@@ -108,7 +124,7 @@ class DensityProcess:
         for t, f in enumerate(self.factors, start=1):
             self.values.append(self.values[-1][lat.parents[t]] * f)
         for t, v in enumerate(self.values):
-            if np.any(v <= 0.0):
+            if not np.all(v > 0.0):
                 raise ValidationError(f"density process not positive at level {t}")
 
     def validate(self) -> None:
@@ -118,10 +134,11 @@ class DensityProcess:
         for t, f in enumerate(self.factors, start=1):
             if f.shape != (lat.n_nodes(t),):
                 raise ValidationError(f"density factor at level {t} has wrong length")
-            if np.any(f <= 0.0):
+            # written so that a NaN factor or error fails the check
+            if not np.all(f > 0.0):
                 raise ValidationError(f"density factor not positive at level {t}")
             err = np.max(np.abs(lat.cond_sum(t - 1, lat.probs[t] * f) - 1.0))
-            if err > _MARTINGALE_TOL:
+            if not err <= _MARTINGALE_TOL:
                 raise ValidationError(
                     f"martingale property violated at level {t - 1} (error {err:.3g})"
                 )

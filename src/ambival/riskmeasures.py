@@ -18,12 +18,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ValidationError
+from .scenario import _BLOCK  # atoms per matrix in apply_discrete; bounds its scratch memory
 
 VAR = "VAR"
 AVAR = "AVAR"
 
 _TIE_EPS = 1e-9  # keeps ceil((1 - q) n) from rounding up when (1 - q) n is whole
-_BLOCK = 1 << 16  # atoms per matrix in apply_discrete; bounds its scratch memory
 
 
 @dataclass(frozen=True)

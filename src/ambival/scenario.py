@@ -11,19 +11,36 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Sequence
+from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
 from .errors import ValidationError
 
 _PROB_TOL = 1e-12
-_BLOCK = 1 << 16
+_BLOCK = 1 << 16  # children per block of a lattice level; atoms per matrix in apply_discrete
+_DRAW_BLOCK = 1 << 16  # draws per substream in simulate_paths; fixed, as it decides the draws
 
 
 # ---------------------------------------------------------------------------
 # lattice
 # ---------------------------------------------------------------------------
+
+
+@dataclass(frozen=True, eq=False)
+class LevelBlock:
+    """Whole sibling groups of one level: parents ``nodes`` at level ``t`` and
+    their children ``children`` at level ``t + 1``.
+
+    ``starts`` holds the first child of each parent, counted from the
+    block's first child, and ``parent_of`` the parent of each child, counted
+    from the block's first parent.
+    """
+
+    nodes: slice
+    children: slice
+    starts: np.ndarray
+    parent_of: np.ndarray
 
 
 @dataclass
@@ -42,12 +59,19 @@ class ScenarioLattice:
             conditional on its parent (``probs[0] == [1.0]``).
         child_offsets: per level ``t < T``, the child index ranges, derived
             from ``parents`` and checked on construction.
+        blocks: per level ``t < T``, consecutive blocks of whole sibling
+            groups with at most ``_BLOCK`` children in all, derived from
+            ``child_offsets``.  A parent with more children than that is a
+            block on its own.  A level with at most ``_BLOCK`` children is
+            one block, the whole level, given as ``(None,)``: a ``None``
+            block means the whole level to every function that takes one.
     """
 
     horizon: int
     parents: List[np.ndarray]
     probs: List[np.ndarray]
     child_offsets: List[np.ndarray] = field(init=False)
+    blocks: List[Sequence[Optional[LevelBlock]]] = field(init=False)
 
     def __post_init__(self) -> None:
         if self.horizon < 1:
@@ -59,6 +83,9 @@ class ScenarioLattice:
         self.parents = [np.asarray(p, dtype=np.int64) for p in self.parents]
         self.probs = [np.asarray(p, dtype=np.float64) for p in self.probs]
         self.child_offsets = self._build_child_offsets()
+        self.blocks = [
+            _cut_blocks(off, par) for off, par in zip(self.child_offsets, self.parents[1:])
+        ]
         self._validate()
 
     def _build_child_offsets(self) -> List[np.ndarray]:
@@ -101,9 +128,16 @@ class ScenarioLattice:
         off = self.child_offsets[t]
         return np.arange(off[node], off[node + 1])
 
-    def cond_sum(self, t: int, values_next: np.ndarray) -> np.ndarray:
-        """Sum of a level-``t + 1`` array over the children of each level-``t`` node."""
-        return np.add.reduceat(values_next, self.child_offsets[t][:-1])
+    def cond_sum(
+        self, t: int, values_next: np.ndarray, block: Optional[LevelBlock] = None
+    ) -> np.ndarray:
+        """Sum of a level-``t + 1`` array over the children of each level-``t`` node.
+
+        With a ``block`` of level ``t``, ``values_next`` holds the block's
+        children only and the sums are those of the block's parents.
+        """
+        starts = self.child_offsets[t][:-1] if block is None else block.starts
+        return np.add.reduceat(values_next, starts)
 
     def path_probs(self, t: int) -> np.ndarray:
         """Unconditional probability of each node at level ``t``."""
@@ -118,6 +152,33 @@ class ScenarioLattice:
         for s in range(from_t + 1, to_t + 1):
             out = out[self.parents[s]]
         return out
+
+
+def _cut_blocks(
+    offsets: np.ndarray, parents_next: np.ndarray
+) -> Sequence[Optional[LevelBlock]]:
+    """Greedy cut of a level into :class:`LevelBlock`, given its child offsets
+    and the parent of each child; ``(None,)`` for a level that fits in one."""
+    if offsets[-1] <= _BLOCK:
+        return (None,)
+    blocks = []
+    first, n = 0, len(offsets) - 1
+    while first < n:
+        # the most parents from ``first`` on whose children fit in one block
+        stop = int(np.searchsorted(offsets, offsets[first] + _BLOCK, side="right")) - 1
+        stop = max(stop, first + 1)
+        children = slice(int(offsets[first]), int(offsets[stop]))
+        parent_of = parents_next[children]  # a view for the first block
+        blocks.append(
+            LevelBlock(
+                nodes=slice(first, stop),
+                children=children,
+                starts=offsets[first:stop] - offsets[first],
+                parent_of=parent_of - first if first else parent_of,
+            )
+        )
+        first = stop
+    return blocks
 
 
 def build_lattice(transitions: Sequence[Sequence[Sequence[float]]]) -> ScenarioLattice:
@@ -291,7 +352,7 @@ def simulate_paths(n_columns: int, n: int, seed: int) -> np.ndarray:
         raise ValidationError("path count must be at least 1")
     draws = np.empty((n, n_columns))
     for c in range(n_columns):
-        for b, start in enumerate(range(0, n, _BLOCK)):
-            stop = min(start + _BLOCK, n)
+        for b, start in enumerate(range(0, n, _DRAW_BLOCK)):
+            stop = min(start + _DRAW_BLOCK, n)
             draws[start:stop, c] = substream(seed, c, b).standard_normal(stop - start)
     return draws

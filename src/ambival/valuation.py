@@ -132,23 +132,37 @@ def worst_case_cond_exp(
 
     Returns the per-state minimum and the arg-minimal grid index (ties broken
     by the lowest index).  The supremum of ``y`` is exactly the negated
-    infimum of ``-y``.
+    infimum of ``-y``.  The level is evaluated one block of whole sibling
+    groups at a time (``lattice.blocks[t]``), every grid point inside the
+    block, so the block's arrays stay in cache across the grid; each parent's
+    sum covers the same children in the same order as a whole-level pass.
     """
     if len(grid) == 0:
         raise ValidationError("parameter grid must be nonempty")
-    p = lattice.probs[t + 1]
-    table = np.empty((len(grid), lattice.n_nodes(t)))
-    for i, theta in enumerate(grid):
-        f = np.asarray(family.factors(t + 1, theta), dtype=np.float64)
-        row = lattice.cond_sum(t, p * f * values_next)
-        if not np.all(np.isfinite(row)):
-            bad = int(np.argmax(~np.isfinite(row)))
-            raise NumericalError(
-                f"non-finite reweighted expectation at t={t}, state {bad}, theta={theta!r}"
-            )
-        table[i] = row
-    arg = np.argmin(table, axis=0)
-    return table[arg, np.arange(table.shape[1])], arg
+    probs = lattice.probs[t + 1]
+    mins, args = [], []
+    for block in lattice.blocks[t]:
+        if block is None:  # the whole level
+            p, v, first, n = probs, values_next, 0, lattice.n_nodes(t)
+        else:
+            p, v = probs[block.children], values_next[block.children]
+            first, n = block.nodes.start, len(block.starts)
+        table = np.empty((len(grid), n))
+        for i, theta in enumerate(grid):
+            f = np.asarray(family.factors(t + 1, theta, block), dtype=np.float64)
+            row = lattice.cond_sum(t, p * f * v, block)
+            if not np.all(np.isfinite(row)):
+                bad = first + int(np.argmax(~np.isfinite(row)))
+                raise NumericalError(
+                    f"non-finite reweighted expectation at t={t}, state {bad}, theta={theta!r}"
+                )
+            table[i] = row
+        arg = np.argmin(table, axis=0)
+        mins.append(table[arg, np.arange(len(arg))])
+        args.append(arg)
+    if len(mins) == 1:  # the whole level: no copy
+        return mins[0], args[0]
+    return np.concatenate(mins), np.concatenate(args)
 
 
 def value_multiprior(

@@ -1,12 +1,15 @@
 """Shared fixtures: small random lattices with tilt families, table lookup."""
 
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import strategies as st
 
+from ambival import scenario
 from ambival.oracle import random_instance as make_instance
 from ambival.priors import ExponentialTiltFamily
-from ambival.scenario import build_lattice
+from ambival.scenario import ScenarioLattice, build_lattice
 
 
 def cell(result, case, p, q):
@@ -20,6 +23,12 @@ def cell(result, case, p, q):
 def make_lattice(rng, horizon, branching):
     """Random strictly positive transition tree with fixed shape."""
     return make_instance(rng, horizon, branching)[0]
+
+
+def reblocked(lattice, max_children):
+    """The same tree, its levels cut into blocks of at most ``max_children`` children."""
+    with mock.patch.object(scenario, "_BLOCK", max_children):
+        return ScenarioLattice(lattice.horizon, lattice.parents, lattice.probs)
 
 
 @st.composite

@@ -8,6 +8,7 @@ from ambival.errors import ValidationError
 from ambival.priors import (
     DensityFamily,
     DensityProcess,
+    ExponentialTiltFamily,
     boundary_grid,
     density_process,
     ellipsoid_region,
@@ -17,7 +18,7 @@ from ambival.priors import (
     project_region,
 )
 from ambival.scenario import StoppingTime
-from conftest import make_instance, per_state_dict, ragged_selections
+from conftest import make_instance, per_state_dict, ragged_selections, reblocked
 
 
 class ExplicitFactorFamily(DensityFamily):
@@ -26,8 +27,9 @@ class ExplicitFactorFamily(DensityFamily):
     def __init__(self, tables):
         self.tables = {k: [np.asarray(a, dtype=np.float64) for a in v] for k, v in tables.items()}
 
-    def factors(self, t, theta):
-        return self.tables[theta][t - 1]
+    def factors(self, t, theta, block=None):
+        f = self.tables[theta][t - 1]
+        return f if block is None else f[block.children]
 
 
 class TestDensityProcess:
@@ -60,6 +62,26 @@ class TestDensityProcess:
         factors = [np.array([1.5, 0.5]), np.array([1.5, 1.0, 1.0, 1.0])]
         with pytest.raises(ValidationError, match="martingale property violated at level 1"):
             DensityProcess(lattice=binomial_lattice, factors=factors)
+
+    def test_rejects_nan_factors(self, binomial_lattice):
+        with pytest.raises(ValidationError, match="not positive at level 1"):
+            DensityProcess(lattice=binomial_lattice, factors=[np.full(2, np.nan), np.ones(4)])
+
+    def test_rejects_an_overflowing_tilt(self, binomial_lattice):
+        # exp(800) overflows, so both time-1 factors are inf / inf = NaN
+        family = ExponentialTiltFamily(binomial_lattice, [0.0, [800.0, 801.0], 0.0])
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(ValidationError, match="not positive at level 1"):
+                density_process(family, 1.0, binomial_lattice)
+
+    def test_explicit_factors_by_block(self, binomial_lattice):
+        family = ExplicitFactorFamily(
+            {"a": [np.array([1.2, 0.8]), np.array([0.9, 1.1, 0.7, 1.3])]}
+        )
+        lat = reblocked(binomial_lattice, 2)
+        assert len(lat.blocks[1]) == 2
+        parts = [family.factors(2, "a", b) for b in lat.blocks[1]]
+        np.testing.assert_array_equal(np.concatenate(parts), family.factors(2, "a"))
 
     def test_rejects_bad_factor_levels(self, binomial_lattice):
         ok = [np.ones(2), np.ones(4)]
@@ -94,6 +116,12 @@ class TestDensityProcess:
         if not isinstance(theta, list):  # a list is a per-state choice
             with pytest.raises(ValidationError, match="scalar"):
                 density_process(family, {1: 0.0, 2: theta}, lattice)
+
+    def test_tilt_rejects_scores_of_another_length(self, binomial_lattice):
+        with pytest.raises(ValidationError, match=r"level 2 has shape \(3,\), not \(4,\)"):
+            ExponentialTiltFamily(binomial_lattice, [0.0, np.zeros(2), np.zeros(3)])
+        with pytest.raises(ValidationError, match="one score array per level"):
+            ExponentialTiltFamily(binomial_lattice, [0.0, np.zeros(2)])
 
     def test_per_state_selection(self, rng):
         lattice, _, family, grid = make_instance(rng, 2, 2)

@@ -13,7 +13,7 @@ from ambival.scenario import (
     simulate_paths,
     substream,
 )
-from conftest import make_lattice
+from conftest import make_lattice, reblocked
 
 
 class TestBuildLattice:
@@ -57,6 +57,44 @@ class TestBuildLattice:
                 child_offsets=[np.array([0, 1])],
             )
         np.testing.assert_array_equal(binomial_lattice.child_offsets[1], [0, 2, 4])
+
+
+class TestBlocks:
+    """Each level is cut once, greedily, into blocks of whole sibling groups."""
+
+    # level 1 of this tree has sibling groups of 1, 2, 4, 1 and 1 children
+    SIZES = (1, 2, 4, 1, 1)
+
+    def tree(self):
+        root = [np.full(len(self.SIZES), 1.0 / len(self.SIZES))]
+        return build_lattice([root, [np.full(k, 1.0 / k) for k in self.SIZES]])
+
+    def test_cut_of_a_level(self):
+        lat = reblocked(self.tree(), 3)
+        level = lat.blocks[1]
+        # parents 0-1 fill 3 children; parent 2 has 4, more than the limit,
+        # so it is a block on its own; parents 3-4 share the last one
+        assert [(b.nodes.start, b.nodes.stop) for b in level] == [(0, 2), (2, 3), (3, 5)]
+        assert [(b.children.start, b.children.stop) for b in level] == [(0, 3), (3, 7), (7, 9)]
+        for b, starts, parent_of in zip(
+            level, ([0, 1], [0], [0, 1]), ([0, 1, 1], [0, 0, 0, 0], [0, 1])
+        ):
+            np.testing.assert_array_equal(b.starts, starts)
+            np.testing.assert_array_equal(b.parent_of, parent_of)
+        # the root's five children exceed the limit: one oversized block
+        (root,) = lat.blocks[0]
+        assert root.nodes == slice(0, 1) and root.children == slice(0, 5)
+
+    def test_a_level_within_the_limit_is_the_whole_level(self, rng):
+        lat = make_lattice(rng, 3, 4)
+        assert lat.blocks == [(None,)] * 3
+        assert reblocked(self.tree(), 9).blocks == [(None,), (None,)]
+
+    def test_cond_sum_by_block(self):
+        lat = reblocked(self.tree(), 3)
+        vals = np.arange(9.0)
+        parts = [lat.cond_sum(1, vals[b.children], b) for b in lat.blocks[1]]
+        np.testing.assert_array_equal(np.concatenate(parts), lat.cond_sum(1, vals))
 
 
 class TestCondExpectation:

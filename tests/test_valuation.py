@@ -2,12 +2,14 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from ambival.errors import ValidationError
+from ambival.errors import NumericalError, ValidationError
 from ambival.oracle import snell_bruteforce
 from ambival.priors import ExponentialTiltFamily
 from ambival.riskmeasures import AVAR, VAR, RiskMeasureSpec, apply_discrete
-from ambival.scenario import AdaptedProcess
+from ambival.scenario import AdaptedProcess, ScenarioLattice, build_lattice
 from ambival.valuation import (
     CashFlowSpec,
     lower_bound,
@@ -19,7 +21,7 @@ from ambival.valuation import (
     value_singleprior,
     worst_case_cond_exp,
 )
-from conftest import make_instance
+from conftest import make_instance, ragged_selections, reblocked
 
 
 def make_cf(payload):
@@ -124,6 +126,90 @@ class TestWorstCase:
         lattice, _, family, _ = make_instance(rng, 1, 2)
         _, arg = worst_case_cond_exp(lattice, family, [0.3, 0.3], np.ones(2), 0)
         np.testing.assert_array_equal(arg, 0)
+
+
+class TestBlocks:
+    """A level evaluated block by block gives the whole-level result bit for bit."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(ragged_selections(), st.integers(2, 5), st.integers(0, 2**32 - 1))
+    def test_blocks_change_no_bit(self, problem, max_children, seed):
+        lattice, family, grid, _ = problem
+        split = reblocked(lattice, max_children)
+        split_family = ExponentialTiltFamily(split, family.scores)
+        rng = np.random.default_rng(seed)
+        for t in range(lattice.horizon):
+            blocks = split.blocks[t]
+            vals = rng.normal(size=lattice.n_nodes(t + 1))
+            # a None block is the whole level
+            parts = [split.cond_sum(t, vals[b.children if b else slice(None)], b) for b in blocks]
+            assert np.concatenate(parts).tobytes() == lattice.cond_sum(t, vals).tobytes()
+            for theta in grid:
+                parts = [split_family.factors(t + 1, theta, b) for b in blocks]
+                assert np.concatenate(parts).tobytes() == family.factors(t + 1, theta).tobytes()
+            whole = worst_case_cond_exp(lattice, family, grid, vals, t)
+            by_block = worst_case_cond_exp(split, split_family, grid, vals, t)
+            for a, b in zip(whole, by_block):
+                assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+        payload = {
+            t: rng.uniform(-1.0, 1.0, lattice.n_nodes(t)) for t in range(1, lattice.horizon + 1)
+        }
+        for kind in (VAR, AVAR):
+            rm = RiskMeasureSpec(kind, 0.3)
+            whole = value_multiprior(make_cf(payload), rm, family, grid, lattice)
+            by_block = value_multiprior(make_cf(payload), rm, split_family, grid, split)
+            for name in ("R", "C", "V", "theta_star"):
+                for t, a in getattr(whole, name).items():
+                    assert a.tobytes() == getattr(by_block, name)[t].tobytes()
+
+    def test_a_level_of_two_blocks_at_full_size(self):
+        # 300 children per node: the 90,000 leaves make two blocks of 218 and 82 parents
+        b = 300
+        rng = np.random.default_rng(7)
+        w = rng.uniform(0.1, 1.0, (b + 1, b))
+        probs = w / w.sum(axis=1, keepdims=True)
+        lattice = ScenarioLattice(
+            horizon=2,
+            parents=[[-1], np.zeros(b, dtype=np.int64), np.repeat(np.arange(b), b)],
+            probs=[[1.0], probs[0], probs[1:].ravel()],
+        )
+        assert lattice.blocks[0] == (None,)
+        assert [blk.nodes for blk in lattice.blocks[1]] == [slice(0, 218), slice(218, 300)]
+        payload = {1: rng.uniform(-1.0, 1.0, b), 2: rng.uniform(-1.0, 1.0, b * b)}
+        scores = [rng.normal(size=n) for n in (1, b, b * b)]
+        grid = list(np.linspace(-1.0, 1.0, 5))
+        family = ExponentialTiltFamily(lattice, scores)
+        rm = RiskMeasureSpec(AVAR, 0.05)
+        out = value_multiprior(make_cf(payload), rm, family, grid, lattice)
+        # whole-level reference: each level a (parents, children) matrix, one pass per theta
+        v = np.zeros(b * b)
+        for t in (1, 0):
+            p = lattice.probs[t + 1].reshape(-1, b)
+            pos = np.maximum(out.R[t][lattice.parents[t + 1]] - payload[t + 1] - v, 0.0)
+            table = []
+            for theta in grid:
+                raw = np.exp(theta * scores[t + 1]).reshape(-1, b)
+                f = raw / (p * raw).sum(axis=1, keepdims=True)
+                table.append((p * f * pos.reshape(-1, b)).sum(axis=1))
+            c = np.min(table, axis=0)
+            np.testing.assert_allclose(out.C[t], c, rtol=0.0, atol=1e-12)
+            np.testing.assert_array_equal(out.theta_star[t], np.argmin(table, axis=0))
+            v = out.R[t] - c
+            np.testing.assert_allclose(out.V[t], v, rtol=0.0, atol=1e-12)
+
+    @pytest.mark.parametrize("max_children", [None, 2])
+    def test_non_finite_expectation_names_the_global_state(self, max_children):
+        # the tilt of leaf 5, the second child of time-1 state 2, overflows at theta = 1
+        lattice = build_lattice([[[0.2, 0.3, 0.5]], [[0.5, 0.5]] * 3])
+        if max_children is not None:
+            lattice = reblocked(lattice, max_children)
+            assert lattice.blocks[1][-1].nodes == slice(2, 3)  # state 2 opens the last block
+        scores = [np.zeros(1), np.zeros(3), np.array([0.0, 0.0, 0.0, 0.0, 0.0, 800.0])]
+        family = ExponentialTiltFamily(lattice, scores)
+        cf = make_cf({1: np.zeros(3), 2: np.ones(6)})
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(NumericalError, match=r"at t=1, state 2, theta=1\.0"):
+                value_multiprior(cf, RiskMeasureSpec(VAR, 0.1), family, [0.0, 1.0], lattice)
 
 
 class TestRecursion:
