@@ -43,6 +43,14 @@ class DensityFamily:
     block)``, with a :class:`~ambival.scenario.LevelBlock` of level ``t - 1``,
     returns the factors of the block's children only, in level order; they
     equal the matching slice of the whole-level factors bit for bit.
+
+    :meth:`weights` takes the same arguments and returns positive weights
+    ``w``: the factors times any positive constant per time-``t - 1`` node,
+    so that ``f = w / E_{t-1}[w]``.  The worst-case expectation needs only
+    these, as
+    ``E_{t-1}[f v] = E_{t-1}[w v] / E_{t-1}[w]``.  A block's weights must
+    equal the matching slice of the whole-level weights bit for bit.  The
+    default returns the factors themselves.
     """
 
     dim: int = 1
@@ -51,14 +59,18 @@ class DensityFamily:
     def factors(self, t: int, theta: Any, block: Optional[LevelBlock] = None) -> np.ndarray:
         raise ValidationError(f"{type(self).__name__} has no lattice factors")
 
+    def weights(self, t: int, theta: Any, block: Optional[LevelBlock] = None) -> np.ndarray:
+        return self.factors(t, theta, block)
+
 
 class ExponentialTiltFamily(DensityFamily):
     """Conditionally normalized exponential tilt of a per-node score on a lattice.
 
     ``f_t(theta)`` at a node is ``exp(theta * score) / Z(parent)`` with the
     normalizer chosen per parent, so conditional mean 1 holds exactly by
-    construction and every factor is strictly positive.  A scalar score
-    stands for the same score at every node of its level.
+    construction and every factor is strictly positive.  Its weights are
+    ``exp(theta * score)``.  A scalar score stands for the same score at
+    every node of its level; scores must be finite.
     """
 
     def __init__(
@@ -78,21 +90,25 @@ class ExponentialTiltFamily(DensityFamily):
                 s = np.full(n, s)
             elif s.shape != (n,):
                 raise ValidationError(f"score at level {t} has shape {s.shape}, not ({n},)")
+            if not np.all(np.isfinite(s)):
+                raise ValidationError(f"non-finite score at level {t}")
             self.scores.append(s)
         self.dim = 1
         self.region = region
 
-    def factors(self, t: int, theta: Any, block: Optional[LevelBlock] = None) -> np.ndarray:
-        lat = self.lattice
+    def weights(self, t: int, theta: Any, block: Optional[LevelBlock] = None) -> np.ndarray:
         theta = np.asarray(theta, dtype=np.float64)
         if theta.size != 1:
             raise ValidationError(f"tilt parameter must be a scalar, got {theta.size} values")
-        theta = float(theta.reshape(-1)[0])
-        scores, probs, parent_of = self.scores[t], lat.probs[t], lat.parents[t]
+        scores = self.scores[t] if block is None else self.scores[t][block.children]
+        return np.exp(float(theta.reshape(-1)[0]) * scores)
+
+    def factors(self, t: int, theta: Any, block: Optional[LevelBlock] = None) -> np.ndarray:
+        lat = self.lattice
+        raw = self.weights(t, theta, block)
+        probs, parent_of = lat.probs[t], lat.parents[t]
         if block is not None:
-            scores, probs = scores[block.children], probs[block.children]
-            parent_of = block.parent_of
-        raw = np.exp(theta * scores)
+            probs, parent_of = probs[block.children], block.parent_of
         z = lat.cond_sum(t - 1, probs * raw, block)
         return raw / z[parent_of]
 

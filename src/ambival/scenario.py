@@ -136,7 +136,12 @@ class ScenarioLattice:
         With a ``block`` of level ``t``, ``values_next`` holds the block's
         children only and the sums are those of the block's parents.
         """
-        starts = self.child_offsets[t][:-1] if block is None else block.starts
+        if block is None:
+            starts, n = self.child_offsets[t][:-1], self.n_nodes(t + 1)
+        else:
+            starts, n = block.starts, block.children.stop - block.children.start
+        if len(values_next) != n:
+            raise ValidationError(f"{len(values_next)} values for {n} children at level {t + 1}")
         return np.add.reduceat(values_next, starts)
 
     def path_probs(self, t: int) -> np.ndarray:

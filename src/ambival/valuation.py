@@ -13,7 +13,12 @@ default problem over the rectangular hull of the family.  The optimization
 over measures collapses to the parameter grid.
 
 Capital requirements are always measured under the base measure; ambiguity
-enters only through the worst-case conditional expectation in ``C_t``.
+enters only through the worst-case conditional expectation in ``C_t``.  Its
+reweighted expectation is self-normalised: with the family's weights ``w``
+(proportional to ``f_{t+1}`` within each sibling group) it is
+``E_t[w v] / E_t[w]``, one division per parent.  Each level is evaluated one
+block of whole sibling groups at a time, and the results are bit-identical
+however the level is cut into blocks.
 """
 
 from __future__ import annotations
@@ -132,13 +137,21 @@ def worst_case_cond_exp(
 
     Returns the per-state minimum and the arg-minimal grid index (ties broken
     by the lowest index).  The supremum of ``y`` is exactly the negated
-    infimum of ``-y``.  The level is evaluated one block of whole sibling
-    groups at a time (``lattice.blocks[t]``), every grid point inside the
-    block, so the block's arrays stay in cache across the grid; each parent's
-    sum covers the same children in the same order as a whole-level pass.
+    infimum of ``-y``.  The expectation under ``f_{t+1}(theta)`` is computed
+    from the family's weights as ``E_t[w v] / E_t[w]``, so no factor is
+    normalised child by child.  The level is evaluated one block of whole
+    sibling groups at a time (``lattice.blocks[t]``), every grid point inside
+    the block, so the block's arrays stay in cache across the grid; each
+    parent's sums cover the same children in the same order as a whole-level
+    pass.
     """
     if len(grid) == 0:
         raise ValidationError("parameter grid must be nonempty")
+    n_next = lattice.n_nodes(t + 1)
+    if np.shape(values_next) != (n_next,):
+        raise ValidationError(
+            f"values at level {t + 1} have shape {np.shape(values_next)}, not ({n_next},)"
+        )
     probs = lattice.probs[t + 1]
     mins, args = [], []
     for block in lattice.blocks[t]:
@@ -147,10 +160,11 @@ def worst_case_cond_exp(
         else:
             p, v = probs[block.children], values_next[block.children]
             first, n = block.nodes.start, len(block.starts)
+        pv = p * v
         table = np.empty((len(grid), n))
         for i, theta in enumerate(grid):
-            f = np.asarray(family.factors(t + 1, theta, block), dtype=np.float64)
-            row = lattice.cond_sum(t, p * f * v, block)
+            w = np.asarray(family.weights(t + 1, theta, block), dtype=np.float64)
+            row = lattice.cond_sum(t, w * pv, block) / lattice.cond_sum(t, w * p, block)
             if not np.all(np.isfinite(row)):
                 bad = first + int(np.argmax(~np.isfinite(row)))
                 raise NumericalError(

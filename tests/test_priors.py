@@ -18,6 +18,7 @@ from ambival.priors import (
     project_region,
 )
 from ambival.scenario import StoppingTime
+from ambival.valuation import worst_case_cond_exp
 from conftest import make_instance, per_state_dict, ragged_selections, reblocked
 
 
@@ -30,6 +31,39 @@ class ExplicitFactorFamily(DensityFamily):
     def factors(self, t, theta, block=None):
         f = self.tables[theta][t - 1]
         return f if block is None else f[block.children]
+
+
+class TestWeights:
+    """Weights are proportional to the factors within each sibling group."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(ragged_selections())
+    def test_tilt_factors_are_the_normalised_weights(self, problem):
+        lattice, family, grid, _ = problem
+        split = reblocked(lattice, 2)
+        split_family = ExponentialTiltFamily(split, family.scores)
+        for t in range(1, lattice.horizon + 1):
+            for theta in grid:
+                raw = np.exp(theta * family.scores[t])
+                assert family.weights(t, theta).tobytes() == raw.tobytes()
+                parts = [split_family.weights(t, theta, b) for b in split.blocks[t - 1]]
+                assert np.concatenate(parts).tobytes() == raw.tobytes()
+                z = lattice.cond_sum(t - 1, lattice.probs[t] * raw)
+                expected = raw / z[lattice.parents[t]]
+                assert family.factors(t, theta).tobytes() == expected.tobytes()
+
+    def test_a_family_of_factors_only_is_weighted_by_its_factors(self, rng):
+        lattice, _, tilt, grid = make_instance(rng, 2, 3)
+        family = ExplicitFactorFamily({th: [tilt.factors(t, th) for t in (1, 2)] for th in grid})
+        assert family.weights(2, grid[1]) is family.factors(2, grid[1])
+        vals = rng.normal(size=9)
+        table = [lattice.cond_sum(1, lattice.probs[2] * family.factors(2, th) * vals) for th in grid]
+        got, arg = worst_case_cond_exp(lattice, family, grid, vals, 1)
+        np.testing.assert_allclose(got, np.min(table, axis=0), rtol=0.0, atol=1e-14)
+        np.testing.assert_array_equal(arg, np.argmin(table, axis=0))
+        by_tilt = worst_case_cond_exp(lattice, tilt, grid, vals, 1)
+        np.testing.assert_allclose(got, by_tilt[0], rtol=0.0, atol=1e-14)
+        np.testing.assert_array_equal(arg, by_tilt[1])
 
 
 class TestDensityProcess:
@@ -113,6 +147,8 @@ class TestDensityProcess:
         lattice, _, family, _ = make_instance(rng, 2, 2)
         with pytest.raises(ValidationError, match="scalar"):
             family.factors(1, theta)
+        with pytest.raises(ValidationError, match="scalar"):
+            family.weights(1, theta)
         if not isinstance(theta, list):  # a list is a per-state choice
             with pytest.raises(ValidationError, match="scalar"):
                 density_process(family, {1: 0.0, 2: theta}, lattice)
@@ -122,6 +158,14 @@ class TestDensityProcess:
             ExponentialTiltFamily(binomial_lattice, [0.0, np.zeros(2), np.zeros(3)])
         with pytest.raises(ValidationError, match="one score array per level"):
             ExponentialTiltFamily(binomial_lattice, [0.0, np.zeros(2)])
+
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+    def test_tilt_rejects_non_finite_scores(self, binomial_lattice, bad):
+        # exp(0 * inf) is NaN: such a score breaks the factors even at theta = 0
+        with pytest.raises(ValidationError, match="non-finite score at level 2"):
+            ExponentialTiltFamily(binomial_lattice, [0.0, np.zeros(2), [0.0, bad, 0.0, 0.0]])
+        with pytest.raises(ValidationError, match="non-finite score at level 1"):
+            ExponentialTiltFamily(binomial_lattice, [0.0, bad, np.zeros(4)])
 
     def test_per_state_selection(self, rng):
         lattice, _, family, grid = make_instance(rng, 2, 2)

@@ -96,6 +96,15 @@ class TestBlocks:
         parts = [lat.cond_sum(1, vals[b.children], b) for b in lat.blocks[1]]
         np.testing.assert_array_equal(np.concatenate(parts), lat.cond_sum(1, vals))
 
+    def test_cond_sum_rejects_another_length(self, rng):
+        lat = make_lattice(rng, 2, 3)
+        with pytest.raises(ValidationError, match="8 values for 9 children at level 2"):
+            lat.cond_sum(1, np.ones(8))
+        split = reblocked(self.tree(), 3)
+        first = split.blocks[1][0]  # parents 0-1 and their 3 children
+        with pytest.raises(ValidationError, match="2 values for 3 children at level 2"):
+            split.cond_sum(1, np.ones(2), first)
+
 
 class TestCondExpectation:
     """``E_t[Y]`` is ``cond_sum(t, probs[t + 1] * Y)``; reweighting multiplies in a factor."""

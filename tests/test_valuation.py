@@ -122,6 +122,18 @@ class TestWorstCase:
         got, _ = worst_case_cond_exp(lattice, family, grid, np.full(3, 2.5), 0)
         np.testing.assert_allclose(got, 2.5, atol=1e-12)
 
+    @pytest.mark.parametrize("max_children", [None, 4])
+    def test_rejects_values_of_another_length(self, rng, max_children):
+        lattice, _, family, grid = make_instance(rng, 2, 3)
+        if max_children is not None:
+            lattice = reblocked(lattice, max_children)
+            family = ExponentialTiltFamily(lattice, family.scores)
+            assert len(lattice.blocks[1]) == 3
+        # one value is not broadcast over the level
+        for n in (1, 8, 10):
+            with pytest.raises(ValidationError, match=rf"level 2 have shape \({n},\), not \(9,\)"):
+                worst_case_cond_exp(lattice, family, grid, np.full(n, 2.0), 1)
+
     def test_tie_breaks_to_lowest_index(self, rng):
         lattice, _, family, _ = make_instance(rng, 1, 2)
         _, arg = worst_case_cond_exp(lattice, family, [0.3, 0.3], np.ones(2), 0)
@@ -161,6 +173,25 @@ class TestBlocks:
             for name in ("R", "C", "V", "theta_star"):
                 for t, a in getattr(whole, name).items():
                     assert a.tobytes() == getattr(by_block, name)[t].tobytes()
+
+    @settings(max_examples=200, deadline=None)
+    @given(ragged_selections(), st.integers(2, 5), st.integers(0, 2**32 - 1))
+    def test_matches_the_normalised_factor_form(self, problem, max_children, seed):
+        # E_t[w v] / E_t[w] against E_t[f v] with the family's normalised factors
+        lattice, family, grid, _ = problem
+        split = reblocked(lattice, max_children)
+        split_family = ExponentialTiltFamily(split, family.scores)
+        rng = np.random.default_rng(seed)
+        for t in range(lattice.horizon):
+            vals = rng.normal(size=lattice.n_nodes(t + 1)) * 10.0 ** rng.integers(-2, 3)
+            p = lattice.probs[t + 1]
+            table = np.array([lattice.cond_sum(t, p * family.factors(t + 1, th) * vals) for th in grid])
+            got, arg = worst_case_cond_exp(split, split_family, grid, vals, t)
+            tol = 1e-14 * max(1.0, np.max(np.abs(vals)))
+            np.testing.assert_allclose(got, table.min(axis=0), rtol=0.0, atol=tol)
+            if len(grid) > 1:  # the argmin, wherever the two best differ by more than 1e-12
+                clear = np.sort(table, axis=0)[1] - table.min(axis=0) > 1e-12
+                np.testing.assert_array_equal(arg[clear], np.argmin(table, axis=0)[clear])
 
     def test_a_level_of_two_blocks_at_full_size(self):
         # 300 children per node: the 90,000 leaves make two blocks of 218 and 82 parents
