@@ -9,6 +9,12 @@ line, ``#`` comments) plus flag overrides; flags win.  Commands:
 * ``value``      -- one (case, p, q) bound computation
 * ``oracle-check`` -- recursion vs brute-force enumeration on random trees
 
+Each command reads only the keys that :data:`COMMAND_KEYS` gives it (plus
+``command`` and ``out``).  A key set explicitly -- in the config file, by
+``--set`` or by a flag -- that the command does not read is rejected, and
+``manifest.txt`` records exactly the keys the command read.  ``table1`` and
+``value`` build their :class:`CaseConfig` in one place.
+
 Exit codes: 0 success, 1 validation failure, 2 numerical failure.
 """
 
@@ -20,7 +26,7 @@ import os
 import sys
 from dataclasses import dataclass, fields
 from pathlib import Path
-from typing import Dict, List, Optional
+from typing import Dict, FrozenSet, List, Optional
 
 import numpy as np
 
@@ -44,6 +50,22 @@ from .riskmeasures import AVAR, VAR, RiskMeasureSpec
 logger = logging.getLogger(__name__)
 
 COMMANDS = ("validate", "table1", "figure1", "value", "oracle-check")
+
+_MODEL_KEYS = ("beta0", "sigma0", "beta1", "sigma1", "i0")
+
+# The RunConfig keys each command reads besides ``command`` and ``out``.
+COMMAND_KEYS: Dict[str, FrozenSet[str]] = {
+    "validate": frozenset({"seed", "kind", "q", *_MODEL_KEYS}),
+    "oracle-check": frozenset({"seed"}),
+    "figure1": frozenset({"seed", "m", *_MODEL_KEYS}),
+    "table1": frozenset(
+        {"seed", "n", "kind", "m", "knots", "threads", "cloud_n_rep", *_MODEL_KEYS}
+    ),
+    "value": frozenset(
+        {"seed", "n", "p", "q", "case", "kind", "threads", "cloud_n_rep", *_MODEL_KEYS}
+    ),
+}
+CASE2_KEYS = frozenset({"m", "knots"})  # the h table: read by ``value`` only for case 2
 
 
 @dataclass
@@ -78,10 +100,13 @@ class RunConfig:
             raise ValidationError("case must be 1 or 2")
         if self.kind not in (VAR, AVAR):
             raise ValidationError(f"risk measure kind must be {VAR} or {AVAR}")
-        # knots and m get the bounds fit_h and boundary_grid enforce, for every command
-        for name, low in (("threads", 1), ("knots", 16), ("m", 2)):
-            if getattr(self, name) < low:
-                raise ValidationError(f"{name} must be at least {low}")
+
+    def reads(self) -> FrozenSet[str]:
+        """The keys this run's command reads."""
+        keys = COMMAND_KEYS[self.command] | {"command", "out"}
+        if self.command == "value" and self.case == 2:
+            keys |= CASE2_KEYS
+        return keys
 
     def model(self) -> GaussianModel:
         return GaussianModel(
@@ -90,7 +115,8 @@ class RunConfig:
         )
 
     def to_manifest(self) -> str:
-        lines = [f"{f.name} = {getattr(self, f.name)!r}" for f in fields(self)]
+        reads = self.reads()
+        lines = [f"{f.name} = {getattr(self, f.name)!r}" for f in fields(self) if f.name in reads]
         return "\n".join(lines) + "\n"
 
 
@@ -116,7 +142,11 @@ def _coerce(key: str, raw: object, where: str = ""):
 def parse_config(
     path: Optional[str] = None, overrides: Optional[Dict[str, str]] = None
 ) -> RunConfig:
-    """Read the key-value config file and apply flag overrides (flags win)."""
+    """Read the key-value config file and apply flag overrides (flags win).
+
+    Every key given here counts as set explicitly; one that the command does
+    not read is rejected.
+    """
     values: Dict[str, object] = {}
     if path is not None:
         text = Path(path).read_text()
@@ -130,7 +160,13 @@ def parse_config(
             values[key] = _coerce(key, raw, f"{path}:{lineno}: ")
     for key, raw in (overrides or {}).items():
         values[key] = _coerce(key, raw)
-    return RunConfig(**values)
+    cfg = RunConfig(**values)
+    unread = values.keys() - cfg.reads()
+    if unread:
+        scope = f" with case {cfg.case}" if cfg.command == "value" else ""
+        names = ", ".join(repr(key) for key in _DEFAULTS if key in unread)
+        raise ValidationError(f"command {cfg.command!r}{scope} does not read {names}")
+    return cfg
 
 
 def _write(out_dir: Path, name: str, text: str) -> None:
@@ -149,11 +185,17 @@ def _write_manifest(out_dir: Path, cfg: RunConfig, **matrices: np.ndarray) -> No
     _write(out_dir, "manifest.txt", cfg.to_manifest() + "".join(rows))
 
 
-def _cmd_table1(cfg: RunConfig, out_dir: Path) -> None:
-    result = table1(
-        model=cfg.model(), n=cfg.n, seed=cfg.seed, cloud_n_rep=cfg.cloud_n_rep,
-        kind=cfg.kind, m_boundary=cfg.m, knots=cfg.knots, threads=cfg.threads,
+def _case_config(cfg: RunConfig) -> CaseConfig:
+    """The run's bound-computation knobs, checked before any work is done."""
+    return CaseConfig(
+        rm=RiskMeasureSpec(cfg.kind, cfg.q), n=cfg.n, seed=cfg.seed, m_boundary=cfg.m,
+        knots=cfg.knots, threads=cfg.threads,
     )
+
+
+def _cmd_table1(cfg: RunConfig, out_dir: Path) -> None:
+    # table1 replaces the level of the config's risk measure per cell
+    result = table1(_case_config(cfg), model=cfg.model(), cloud_n_rep=cfg.cloud_n_rep)
     _write(out_dir, "table1.csv", table1_csv(result))
     _write_manifest(out_dir, cfg, mu=result.mu, sigma=result.sigma)
     for row in result.rows:
@@ -173,14 +215,11 @@ def _cmd_figure1(cfg: RunConfig, out_dir: Path) -> None:
 
 
 def _cmd_value(cfg: RunConfig, out_dir: Path) -> None:
+    case_cfg = _case_config(cfg)
     model = cfg.model()
     cloud = estimator_cloud(model, cfg.cloud_n_rep, cfg.seed)
     region = region_for(cloud, cfg.p)
     case = CASE1 if cfg.case == 1 else CASE2
-    case_cfg = CaseConfig(
-        rm=RiskMeasureSpec(cfg.kind, cfg.q), n=cfg.n, seed=cfg.seed, m_boundary=cfg.m,
-        knots=cfg.knots, threads=cfg.threads,
-    )
     if cfg.case == 1:
         lower, upper, _ = case1_bounds(case_cfg, model, region)
     else:
@@ -194,11 +233,12 @@ def _cmd_value(cfg: RunConfig, out_dir: Path) -> None:
     print(f"{case} p={cfg.p} q={cfg.q}: ({lower:.3f}, {upper:.3f})")
 
 
-def _cmd_oracle_check(cfg: RunConfig, out_dir: Path, n_instances: int = 200) -> None:
+def _cmd_oracle_check(cfg: RunConfig, out_dir: Path) -> None:
     from .oracle import random_suite, snell_bruteforce
     from .scenario import AdaptedProcess
     from .valuation import CashFlowSpec, value_multiprior
 
+    n_instances = 200
     worst = 0.0
     for i, (lattice, payload, family, grid) in enumerate(random_suite(cfg.seed, n_instances)):
         cf = CashFlowSpec(liability=AdaptedProcess(name="X", values=payload))
@@ -255,7 +295,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--threads", type=int)
     parser.add_argument(
         "--set", action="append", default=[], metavar="KEY=VALUE",
-        help="override any config key (repeatable)",
+        help="set a config key the command reads (repeatable)",
     )
     return parser
 

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -40,7 +40,7 @@ from .priors import (
     interior_grid,
     project_region,
 )
-from .riskmeasures import VAR, RiskMeasureSpec, apply_empirical, gaussian_c
+from .riskmeasures import RiskMeasureSpec, apply_empirical, gaussian_c
 
 logger = logging.getLogger(__name__)
 
@@ -124,6 +124,9 @@ class CaseConfig:
     def __post_init__(self) -> None:
         if self.n < 10**3:
             raise ValidationError("statistical runs need n >= 1000")
+        for name, low in (("threads", 1), ("knots", 16), ("m_boundary", 2)):
+            if getattr(self, name) < low:
+                raise ValidationError(f"{name} must be at least {low}")
 
 
 # ---------------------------------------------------------------------------
@@ -138,6 +141,10 @@ def simulate_triangle(
     ``n_years - 1`` second-column values (the youngest year is undeveloped)."""
     if n_years < 3:
         raise ValidationError("estimators need at least 3 accident years")
+    if n_years > len(model.exposures):
+        raise ValidationError(
+            f"{n_years} accident years, but the model has {len(model.exposures)} exposures"
+        )
     c1, c2 = _simulate_triangles(model, n_years, 1, seed)
     return c1[0], c2[0]
 
@@ -170,6 +177,8 @@ def fit_params(
     if len(c2) >= len(c1):
         raise ValidationError("second column must be shorter than the first (run-off triangle)")
     v1 = np.ones(len(c1)) if exposures is None else np.asarray(exposures, dtype=np.float64)
+    if v1.ndim != 1 or len(v1) < len(c1) or not np.all(v1[: len(c1)] > 0.0):
+        raise ValidationError("need one positive exposure per year of the first column")
     b0, s0sq, b1, s1sq = _estimators(c1[None, :], c2[None, :], v1[: len(c1)])
     return float(b0[0]), float(s0sq[0]), float(b1[0]), float(s1sq[0])
 
@@ -268,8 +277,6 @@ class GaussianStepFamily(DensityFamily):
     ``{"eps_m12": ..., "eps_01": ...}`` at t = 1 and
     ``{"eps_02": ..., "c01": ...}`` at t = 2.
     """
-
-    dim = 4
 
     def __init__(self, model: GaussianModel, region: Optional[ParamRegion] = None) -> None:
         self.model = model
@@ -634,44 +641,33 @@ class Table1Result:
 
 
 def table1(
-    model: Optional[GaussianModel] = None,
-    n: int = 10**5,
-    seed: int = 0,
-    cloud_n_rep: int = 10**5,
-    kind: str = VAR,
-    m_boundary: int = 360,
-    knots: int = 64,
-    threads: int = 1,
+    cfg: CaseConfig, model: Optional[GaussianModel] = None, cloud_n_rep: int = 10**5
 ) -> Table1Result:
     """Lower and upper time-0 bounds over the (p, q) grid for both cases.
 
-    The ambiguity region is a confidence ellipsoid around the estimator-cloud
-    mean with the cloud's sample covariance; a large cloud keeps the region
-    stable across seeds.  All Monte Carlo layers share seeded substreams, so
-    the result is a deterministic function of the arguments.
+    Every cell runs ``cfg`` with the level of ``cfg.rm`` replaced by the
+    cell's ``q`` (the risk-measure kind is kept), so ``cfg.rm.q`` itself is
+    never read.  The ambiguity region is a confidence ellipsoid around the
+    estimator-cloud mean with the cloud's sample covariance, the cloud drawn
+    with ``cfg.seed``; a large cloud keeps the region stable across seeds.
+    All Monte Carlo layers share seeded substreams, so the result is a
+    deterministic function of the arguments.
     """
     model = model if model is not None else paper_model()
-    cloud = estimator_cloud(model, cloud_n_rep, seed)
+    cloud = estimator_cloud(model, cloud_n_rep, cfg.seed)
     rows: List[Dict[str, object]] = []
     for case in (CASE1, CASE2):
         for p in TABLE1_P:
             region = region_for(cloud, p)
             for q in TABLE1_Q:
-                cfg = CaseConfig(
-                    rm=RiskMeasureSpec(kind, q),
-                    n=n,
-                    seed=seed,
-                    m_boundary=m_boundary,
-                    knots=knots,
-                    threads=threads,
-                )
+                cell = replace(cfg, rm=RiskMeasureSpec(cfg.rm.kind, q))
                 if case == CASE1:
-                    lower, upper, _ = case1_bounds(cfg, model, region)
+                    lower, upper, _ = case1_bounds(cell, model, region)
                 else:
-                    lower, upper, _ = case2_value(cfg, model, region)
+                    lower, upper, _ = case2_value(cell, model, region)
                 rows.append(
                     {"case": case, "p": p, "q": q, "lower": lower, "upper": upper,
-                     "n": n, "seed": seed}
+                     "n": cfg.n, "seed": cfg.seed}
                 )
     return Table1Result(rows=rows, mu=cloud.mu, sigma=cloud.sigma)
 

@@ -53,7 +53,6 @@ class DensityFamily:
     default returns the factors themselves.
     """
 
-    dim: int = 1
     region: Optional["ParamRegion"] = None
 
     def factors(self, t: int, theta: Any, block: Optional[LevelBlock] = None) -> np.ndarray:
@@ -93,7 +92,6 @@ class ExponentialTiltFamily(DensityFamily):
             if not np.all(np.isfinite(s)):
                 raise ValidationError(f"non-finite score at level {t}")
             self.scores.append(s)
-        self.dim = 1
         self.region = region
 
     def weights(self, t: int, theta: Any, block: Optional[LevelBlock] = None) -> np.ndarray:

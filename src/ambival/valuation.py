@@ -233,17 +233,6 @@ def value_multiprior(
     )
 
 
-def value_singleprior(
-    cf: CashFlowSpec,
-    rm: RiskMeasureSpec,
-    family: DensityFamily,
-    theta: Any,
-    lattice: ScenarioLattice,
-) -> ValuationOutput:
-    """Recursion under the single prior selected by ``theta``."""
-    return value_multiprior(cf, rm, family, [theta], lattice)
-
-
 def expected_total_cashflow(
     cf: CashFlowSpec, family: DensityFamily, theta: Any, lattice: ScenarioLattice
 ) -> float:
@@ -335,7 +324,6 @@ def supermartingale_diagnostic(
     step_margins: Dict[int, np.ndarray] = {}
     risk_margins: Dict[int, np.ndarray] = {}
     violations: List[Tuple[int, int]] = []
-    tol = 1e-10
     remaining = np.zeros(lattice.n_nodes(T))
     remaining_by_t = {T: remaining}
     for t in range(T - 1, -1, -1):
@@ -346,9 +334,9 @@ def supermartingale_diagnostic(
         cont = lattice.cond_sum(t, p * (cf.x(t + 1) + out.V[t + 1]))
         step_margins[t] = out.V[t] - cont
         risk_margins[t] = out.V[t] - remaining_by_t[t]
-        for j in np.nonzero(step_margins[t] < -tol)[0]:
+        for j in np.nonzero(step_margins[t] < -SupermartingaleReport.tol)[0]:
             violations.append((t, int(j)))
     return SupermartingaleReport(
-        step_margins=step_margins, risk_margins=risk_margins, violations=violations, tol=tol
+        step_margins=step_margins, risk_margins=risk_margins, violations=violations
     )
 

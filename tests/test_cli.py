@@ -1,12 +1,36 @@
 """Config parsing, command dispatch and exit codes."""
 
+from dataclasses import fields
+
 import numpy as np
 import pytest
 
+import ambival.cli
 import ambival.gaussian
 import ambival.valuation
-from ambival.cli import RunConfig, main, parse_config
+from ambival.cli import CASE2_KEYS, COMMAND_KEYS, COMMANDS, RunConfig, main, parse_config
 from ambival.errors import ValidationError
+
+FIELDS = [f.name for f in fields(RunConfig)]
+
+# a cheap run of each command that writes a manifest (oracle-check writes
+# only its report), and the config it runs with
+SMALL = ["--n", "2000", "--set", "cloud_n_rep=2000"]
+MANIFEST_RUNS = {
+    "validate": (["--command", "validate"], RunConfig(command="validate")),
+    "figure1": (["--command", "figure1"], RunConfig(command="figure1")),
+    "table1": (["--command", "table1"] + SMALL, RunConfig(command="table1")),
+    "value-case1": (["--command", "value"] + SMALL, RunConfig(command="value")),
+    "value-case2": (
+        ["--command", "value", "--case", "2"] + SMALL, RunConfig(command="value", case=2)
+    ),
+}
+
+
+def manifest_keys(path):
+    """The config keys of a ``manifest.txt``, in order (matrix rows excluded)."""
+    keys = [line.split(" = ", 1)[0] for line in path.read_text().splitlines()]
+    return [key for key in keys if key in FIELDS]
 
 
 class TestConfigFile:
@@ -52,6 +76,12 @@ class TestConfigFile:
             parse_config(None, {"seed": "three"})
         with pytest.raises(ValidationError, match="number"):
             parse_config(None, {"q": "low"})
+
+    def test_config_file_key_the_command_does_not_read_is_rejected(self, tmp_path):
+        path = tmp_path / "run.cfg"
+        path.write_text("command = oracle-check\nn = 2000\n")
+        with pytest.raises(ValidationError, match="'oracle-check' does not read 'n'"):
+            parse_config(str(path), {})
 
     def test_level_validation(self):
         with pytest.raises(ValidationError, match=r"level must lie in \(0,1\)"):
@@ -111,8 +141,7 @@ class TestMain:
         rc = main(
             [
                 "--command", "value", "--case", "1", "--p", "0.1", "--q", "0.05",
-                "--n", "2000", "--out", str(tmp_path),
-                "--set", "cloud_n_rep=2000", "--set", "m=64",
+                "--n", "2000", "--out", str(tmp_path), "--set", "cloud_n_rep=2000",
             ]
         )
         assert rc == 0
@@ -124,18 +153,29 @@ class TestMain:
         assert lower <= upper
         assert (tmp_path / "manifest.txt").exists()
 
-    @pytest.mark.parametrize("bad", ["knots=15", "m=1"])
-    def test_value_rejects_out_of_range_grid_keys(self, tmp_path, capsys, bad):
-        # case 1 never builds the h table, yet the key is checked for every command
+    @pytest.mark.parametrize("bad", ["knots=15", "m=1", "threads=0"])
+    def test_value_rejects_out_of_range_grid_keys(self, tmp_path, capsys, monkeypatch, bad):
+        # checked when the case config is built, before the estimator cloud
+        monkeypatch.setattr(ambival.cli, "estimator_cloud", None)
         rc = main(
             [
-                "--command", "value", "--case", "1", "--n", "2000", "--out", str(tmp_path),
+                "--command", "value", "--case", "2", "--n", "2000", "--out", str(tmp_path),
                 "--set", "cloud_n_rep=2000", "--set", bad,
             ]
         )
         assert rc == 1
         assert "at least" in capsys.readouterr().err
         assert not (tmp_path / "manifest.txt").exists()
+
+    @pytest.mark.parametrize("bad", ["knots=15", "m=1", "threads=0"])
+    def test_table1_rejects_out_of_range_keys_before_any_work(
+        self, tmp_path, capsys, monkeypatch, bad
+    ):
+        monkeypatch.setattr(ambival.gaussian, "estimator_cloud", None)
+        rc = main(["--command", "table1", "--out", str(tmp_path), "--set", bad])
+        assert rc == 1
+        assert "at least" in capsys.readouterr().err
+        assert not tmp_path.joinpath("manifest.txt").exists()
 
     def test_table1_passes_m_and_knots_to_the_h_table(self, tmp_path, monkeypatch):
         seen = []
@@ -176,3 +216,46 @@ class TestMain:
         assert main(["--command", "figure1", "--out", str(out2), "--seed", "5"]) == 0
         for f in sorted(out1.glob("*.csv")):
             assert f.read_bytes() == (out2 / f.name).read_bytes()
+
+
+class TestKeyTable:
+    def test_table_names_every_field_and_nothing_else(self):
+        assert set(COMMAND_KEYS) == set(COMMANDS)
+        named = set().union(*COMMAND_KEYS.values()) | CASE2_KEYS | {"command", "out"}
+        assert named == set(FIELDS)
+
+    @pytest.mark.parametrize("key", FIELDS)
+    @pytest.mark.parametrize("command", COMMANDS)
+    def test_each_key_is_read_or_rejected(self, tmp_path, capsys, command, key):
+        out = tmp_path / "out"
+        value = {"command": command, "out": str(out)}.get(key, getattr(RunConfig(), key))
+        if key in RunConfig(command=command).reads():
+            cfg = parse_config(None, {"command": command, key: str(value)})
+            assert cfg.command == command and str(getattr(cfg, key)) == str(value)
+            return
+        rc = main(["--command", command, "--out", str(out), "--set", f"{key}={value}"])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert f"command {command!r}" in err and f"does not read {key!r}" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("key", sorted(CASE2_KEYS))
+    def test_value_reads_the_h_table_keys_only_for_case_2(self, key):
+        assert getattr(parse_config(None, {"command": "value", "case": 2, key: "64"}), key) == 64
+        with pytest.raises(ValidationError, match=f"'value' with case 1 does not read {key!r}"):
+            parse_config(None, {"command": "value", key: "64"})
+
+    @pytest.mark.parametrize(
+        "flag", [["--n", "2000"], ["--threads", "1"], ["--p", "0.5"], ["--case", "1"]]
+    )
+    def test_unread_flag_is_rejected(self, tmp_path, capsys, flag):
+        rc = main(["--command", "figure1", "--out", str(tmp_path / "out")] + flag)
+        assert rc == 1
+        assert f"does not read {flag[0][2:]!r}" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("run", sorted(MANIFEST_RUNS))
+    def test_manifest_lists_exactly_the_keys_read(self, tmp_path, run):
+        argv, cfg = MANIFEST_RUNS[run]
+        assert main(argv + ["--out", str(tmp_path)]) == 0
+        assert manifest_keys(tmp_path / "manifest.txt") == [f for f in FIELDS if f in cfg.reads()]

@@ -31,6 +31,7 @@ from ambival.gaussian import (
     r1_closed_form,
     region_for,
     simulate_triangle,
+    table1,
     table1_csv,
 )
 from ambival.priors import density_process, point_region, project_region
@@ -81,6 +82,11 @@ class TestTrianglesAndEstimators:
         with pytest.raises(ValidationError, match="3"):
             simulate_triangle(paper_model(), 2, seed=0)
 
+    def test_triangle_needs_an_exposure_per_year(self):
+        # the paper model has 11 exposures (years -10 .. 0)
+        with pytest.raises(ValidationError, match="11 exposures"):
+            simulate_triangle(paper_model(), 20, seed=0)
+
     def test_fit_recovers_noiseless_parameters(self):
         c1 = np.full(6, 0.75)
         c2 = 1.4 * c1[:5]
@@ -97,6 +103,17 @@ class TestTrianglesAndEstimators:
     def test_fit_rejects_short_columns(self):
         with pytest.raises(ValidationError, match="at least 3"):
             fit_params(np.ones(4), np.ones(2))
+
+    @pytest.mark.parametrize(
+        "exposures",
+        [np.ones(4), np.full(5, -1.0), np.zeros(5)],
+        ids=["shorter-than-c1", "negative", "all-zero"],
+    )
+    def test_fit_rejects_bad_exposures(self, exposures):
+        c1 = np.array([1.0, 1.1, 0.9, 1.2, 1.0])
+        c2 = np.array([1.5, 1.6, 1.4, 1.7])
+        with pytest.raises(ValidationError, match="positive exposure"):
+            fit_params(c1, c2, exposures)
 
     def test_estimator_cloud_is_nearly_unbiased(self):
         m = paper_model()
@@ -295,6 +312,15 @@ class TestCaseBounds:
         with pytest.raises(ValidationError, match="n >= 1000"):
             CaseConfig(rm=RiskMeasureSpec(VAR, 0.05), n=10)
 
+    @pytest.mark.parametrize(
+        "bad", [{"threads": 0}, {"threads": -3}, {"knots": 15}, {"m_boundary": 1}],
+        ids=["threads=0", "threads=-3", "knots=15", "m_boundary=1"],
+    )
+    def test_config_checks_its_bounds(self, bad):
+        (name,) = bad
+        with pytest.raises(ValidationError, match=f"{name} must be at least"):
+            CaseConfig(rm=RiskMeasureSpec(VAR, 0.05), **bad)
+
 
 class TestHFit:
     def test_degenerate_region_reproduces_g(self):
@@ -331,6 +357,27 @@ class TestTableAndFigure:
         lines = text.strip().split("\n")
         assert lines[0] == "case,p,q,lower,upper,n,seed"
         assert lines[1] == "CASE1,0.1,0.05,1.25,1.5,1000,0"
+
+    def test_table1_runs_the_config_at_each_level(self, monkeypatch):
+        import ambival.gaussian
+
+        seen = []
+
+        def record(cfg, model, region):
+            seen.append(cfg)
+            return 1.0, 2.0, None
+
+        monkeypatch.setattr(ambival.gaussian, "case1_bounds", record)
+        monkeypatch.setattr(ambival.gaussian, "case2_value", record)
+        cfg = CaseConfig(rm=RiskMeasureSpec(AVAR, 0.5), n=2000, seed=3, knots=16)
+        result = table1(cfg, cloud_n_rep=2000)
+        levels = [0.10, 0.05, 0.01, 0.005]
+        assert seen == [replace(cfg, rm=RiskMeasureSpec(AVAR, q)) for q in levels] * 6
+        assert [row["q"] for row in result.rows] == levels * 6
+        assert {(row["n"], row["seed"]) for row in result.rows} == {(2000, 3)}
+        np.testing.assert_array_equal(
+            result.mu, estimator_cloud(paper_model(), 2000, seed=3).mu
+        )
 
     def test_figure_data_shapes(self):
         data = figure1_data(n_rep=1000, seed=0)

@@ -18,7 +18,6 @@ from ambival.valuation import (
     supermartingale_diagnostic,
     upper_bound,
     value_multiprior,
-    value_singleprior,
     worst_case_cond_exp,
 )
 from conftest import make_instance, ragged_selections, reblocked
@@ -276,21 +275,6 @@ class TestRecursion:
         # rho of the time-1 position -(X_1 + V_1); the loss is the amount owed
         got = apply_discrete(rm, -y1, lattice.probs[1], [0, len(y1)])
         assert got.shape == (1,) and abs(out.r0 - got[0]) < 1e-14
-
-    def test_singleprior_matches_singleton_grid(self, rng):
-        lattice, payload, family, grid = make_instance(rng, 2, 2)
-        rm = RiskMeasureSpec(VAR, 0.1)
-        a = value_singleprior(make_cf(payload), rm, family, grid[1], lattice)
-        b = value_multiprior(make_cf(payload), rm, family, [grid[1]], lattice)
-        assert a.v0 == b.v0
-
-    def test_singleprior_enforces_region(self, rng):
-        from ambival.priors import point_region
-
-        lattice, payload, family, _ = make_instance(rng, 1, 3)
-        family.region = point_region(np.array([0.2]))
-        with pytest.raises(ValidationError, match="region"):
-            value_singleprior(make_cf(payload), RiskMeasureSpec(VAR, 0.1), family, 0.5, lattice)
 
     @pytest.mark.parametrize("bound", ["value_multiprior", "lower_bound"])
     def test_grid_outside_the_region_is_rejected(self, rng, bound):
