@@ -34,6 +34,7 @@ from .errors import NumericalError, ValidationError
 from .gaussian import (
     CASE1,
     CASE2,
+    CASE_MINIMUMS,
     CaseConfig,
     GaussianModel,
     case1_bounds,
@@ -66,6 +67,8 @@ COMMAND_KEYS: Dict[str, FrozenSet[str]] = {
     ),
 }
 CASE2_KEYS = frozenset({"m", "knots"})  # the h table: read by ``value`` only for case 2
+# the CaseConfig field behind each bounded key; checked here so that a message names the key
+_CASE_FIELDS = {"threads": "threads", "knots": "knots", "m": "m_boundary"}
 
 
 @dataclass
@@ -100,6 +103,11 @@ class RunConfig:
             raise ValidationError("case must be 1 or 2")
         if self.kind not in (VAR, AVAR):
             raise ValidationError(f"risk measure kind must be {VAR} or {AVAR}")
+        reads = self.reads()
+        for key, name in _CASE_FIELDS.items():
+            low = CASE_MINIMUMS[name]
+            if key in reads and getattr(self, key) < low:
+                raise ValidationError(f"{key} must be at least {low}")
 
     def reads(self) -> FrozenSet[str]:
         """The keys this run's command reads."""
@@ -253,8 +261,12 @@ def _cmd_oracle_check(cfg: RunConfig, out_dir: Path) -> None:
         )
     if worst > 1e-12:
         raise NumericalError(f"recursion vs oracle mismatch: max deviation {worst:.3e}")
-    report = f"oracle-check: {n_instances} lattices, max |engine - oracle| = {worst:.3e}\n"
+    report = (
+        f"oracle-check: seed {cfg.seed}, {n_instances} lattices, "
+        f"max |engine - oracle| = {worst:.3e}\n"
+    )
     _write(out_dir, "oracle_check.txt", report)
+    _write_manifest(out_dir, cfg)
     print(report, end="")
 
 

@@ -49,6 +49,7 @@ CASE2 = "CASE2"
 
 _SIGMA_FLOOR = 1e-12
 _M_SEARCH = 512  # coarse full-dimensional boundary grid of the worst-case searches
+CASE_MINIMUMS = {"threads": 1, "knots": 16, "m_boundary": 2}  # least value of each CaseConfig field
 
 # coordinate layout of theta vectors
 _B0, _S0, _B1, _S1 = 0, 1, 2, 3
@@ -124,7 +125,7 @@ class CaseConfig:
     def __post_init__(self) -> None:
         if self.n < 10**3:
             raise ValidationError("statistical runs need n >= 1000")
-        for name, low in (("threads", 1), ("knots", 16), ("m_boundary", 2)):
+        for name, low in CASE_MINIMUMS.items():
             if getattr(self, name) < low:
                 raise ValidationError(f"{name} must be at least {low}")
 
@@ -554,8 +555,8 @@ def fit_h(
     around its base-measure mean; at each knot the deficit-option value is
     minimized over the boundary grid of the ``(beta1, sigma1)`` projection.
     """
-    if knots < 16:
-        raise ValidationError("h-fit needs at least 16 knots")
+    if knots < CASE_MINIMUMS["knots"]:
+        raise ValidationError(f"h-fit needs at least {CASE_MINIMUMS['knots']} knots")
     sd = model.sigma0 / math.sqrt(model.v0)
     xs = np.linspace(model.beta0 - 6.0 * sd, model.beta0 + 6.0 * sd, knots)
     grid = boundary_grid(proj, m_boundary, positive=(1,)).points  # (m, 2)

@@ -65,6 +65,11 @@ class ScenarioLattice:
             block on its own.  A level with at most ``_BLOCK`` children is
             one block, the whole level, given as ``(None,)``: a ``None``
             block means the whole level to every function that takes one.
+        widths: per level ``t < T``, the number of children of every
+            level-``t`` node when they all have the same number, else 0;
+            derived from ``child_offsets``.  The worst-case expectation runs
+            a level of nonzero width as the rows of a ``(parents, width)``
+            matrix and a ragged level through :meth:`cond_sum`.
     """
 
     horizon: int
@@ -72,6 +77,7 @@ class ScenarioLattice:
     probs: List[np.ndarray]
     child_offsets: List[np.ndarray] = field(init=False)
     blocks: List[Sequence[Optional[LevelBlock]]] = field(init=False)
+    widths: List[int] = field(init=False)
 
     def __post_init__(self) -> None:
         if self.horizon < 1:
@@ -86,6 +92,7 @@ class ScenarioLattice:
         self.blocks = [
             _cut_blocks(off, par) for off, par in zip(self.child_offsets, self.parents[1:])
         ]
+        self.widths = [_width(off) for off in self.child_offsets]
         self._validate()
 
     def _build_child_offsets(self) -> List[np.ndarray]:
@@ -157,6 +164,12 @@ class ScenarioLattice:
         for s in range(from_t + 1, to_t + 1):
             out = out[self.parents[s]]
         return out
+
+
+def _width(offsets: np.ndarray) -> int:
+    """The common child count of a level's nodes, 0 if the counts differ."""
+    counts = np.diff(offsets)
+    return int(counts[0]) if np.all(counts == counts[0]) else 0
 
 
 def _cut_blocks(

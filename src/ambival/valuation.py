@@ -17,7 +17,10 @@ enters only through the worst-case conditional expectation in ``C_t``.  Its
 reweighted expectation is self-normalised: with the family's weights ``w``
 (proportional to ``f_{t+1}`` within each sibling group) it is
 ``E_t[w v] / E_t[w]``, one division per parent.  Each level is evaluated one
-block of whole sibling groups at a time, and the results are bit-identical
+block of whole sibling groups at a time.  On a level whose nodes all have the
+same number of children (``lattice.widths``) the two sums are row dot
+products of ``(parents, width)`` matrices; a ragged level sums through
+``ScenarioLattice.cond_sum``.  Either way the results are bit-identical
 however the level is cut into blocks.
 """
 
@@ -141,9 +144,13 @@ def worst_case_cond_exp(
     from the family's weights as ``E_t[w v] / E_t[w]``, so no factor is
     normalised child by child.  The level is evaluated one block of whole
     sibling groups at a time (``lattice.blocks[t]``), every grid point inside
-    the block, so the block's arrays stay in cache across the grid; each
-    parent's sums cover the same children in the same order as a whole-level
-    pass.
+    the block, so the block's arrays stay in cache across the grid.  On a
+    level of nonzero ``lattice.widths[t]`` the block's ``p``, ``p * v`` and
+    each grid point's weights are ``(parents, width)`` matrices and both sums
+    are row dot products (``einsum``, whose order within a row does not
+    depend on the number of rows); a ragged level sums through
+    ``lattice.cond_sum``.  Either way each parent's sums cover the same
+    children in the same order as a whole-level pass.
     """
     if len(grid) == 0:
         raise ValidationError("parameter grid must be nonempty")
@@ -152,7 +159,7 @@ def worst_case_cond_exp(
         raise ValidationError(
             f"values at level {t + 1} have shape {np.shape(values_next)}, not ({n_next},)"
         )
-    probs = lattice.probs[t + 1]
+    probs, width = lattice.probs[t + 1], lattice.widths[t]
     mins, args = [], []
     for block in lattice.blocks[t]:
         if block is None:  # the whole level
@@ -161,10 +168,16 @@ def worst_case_cond_exp(
             p, v = probs[block.children], values_next[block.children]
             first, n = block.nodes.start, len(block.starts)
         pv = p * v
+        if width:  # one matrix row per parent
+            p, pv = p.reshape(n, width), pv.reshape(n, width)
         table = np.empty((len(grid), n))
         for i, theta in enumerate(grid):
             w = np.asarray(family.weights(t + 1, theta, block), dtype=np.float64)
-            row = lattice.cond_sum(t, w * pv, block) / lattice.cond_sum(t, w * p, block)
+            if width:
+                w = w.reshape(n, width)
+                row = np.einsum("ij,ij->i", w, pv) / np.einsum("ij,ij->i", w, p)
+            else:
+                row = lattice.cond_sum(t, w * pv, block) / lattice.cond_sum(t, w * p, block)
             if not np.all(np.isfinite(row)):
                 bad = first + int(np.argmax(~np.isfinite(row)))
                 raise NumericalError(

@@ -35,16 +35,18 @@ def reblocked(lattice, max_children):
 def ragged_selections(draw):
     """``(lattice, family, grid, codes)``: a ragged tree and per-state selections.
 
-    Horizon 1-3, each node with 1-4 children; ``codes`` holds a few
-    selections, one grid index per decision state ordered by period, then
-    node, as the oracle enumerates them.
+    Horizon 1-3, each node with 1-4 children, or with ``uniform`` drawn
+    true, every node of a level with the same 1-4 children; ``codes`` holds
+    a few selections, one grid index per decision state ordered by period,
+    then node, as the oracle enumerates them.
     """
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    uniform = draw(st.booleans())
     transitions, n_nodes = [], 1
     for _ in range(draw(st.integers(1, 3))):
-        rows = []
+        rows, width = [], draw(st.integers(1, 4))
         for _ in range(n_nodes):
-            w = rng.uniform(0.1, 1.0, draw(st.integers(1, 4)))
+            w = rng.uniform(0.1, 1.0, width if uniform else draw(st.integers(1, 4)))
             rows.append(w / w.sum())
         transitions.append(rows)
         n_nodes = sum(len(r) for r in rows)

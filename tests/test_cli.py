@@ -13,11 +13,11 @@ from ambival.errors import ValidationError
 
 FIELDS = [f.name for f in fields(RunConfig)]
 
-# a cheap run of each command that writes a manifest (oracle-check writes
-# only its report), and the config it runs with
+# a cheap run of each command, and the config it runs with
 SMALL = ["--n", "2000", "--set", "cloud_n_rep=2000"]
 MANIFEST_RUNS = {
     "validate": (["--command", "validate"], RunConfig(command="validate")),
+    "oracle-check": (["--command", "oracle-check"], RunConfig(command="oracle-check")),
     "figure1": (["--command", "figure1"], RunConfig(command="figure1")),
     "table1": (["--command", "table1"] + SMALL, RunConfig(command="table1")),
     "value-case1": (["--command", "value"] + SMALL, RunConfig(command="value")),
@@ -135,7 +135,8 @@ class TestMain:
             ["--command", "oracle-check", "--seed", "1", "--out", str(tmp_path)]
         ) == 0
         report = (tmp_path / "oracle_check.txt").read_text()
-        assert "max |engine - oracle|" in report
+        assert report.startswith("oracle-check: seed 1, 200 lattices, max |engine - oracle| = ")
+        assert "seed = 1\n" in (tmp_path / "manifest.txt").read_text()
 
     def test_value_command_writes_csv(self, tmp_path):
         rc = main(
@@ -155,7 +156,7 @@ class TestMain:
 
     @pytest.mark.parametrize("bad", ["knots=15", "m=1", "threads=0"])
     def test_value_rejects_out_of_range_grid_keys(self, tmp_path, capsys, monkeypatch, bad):
-        # checked when the case config is built, before the estimator cloud
+        # checked when the config is parsed, before the estimator cloud
         monkeypatch.setattr(ambival.cli, "estimator_cloud", None)
         rc = main(
             [
@@ -166,6 +167,13 @@ class TestMain:
         assert rc == 1
         assert "at least" in capsys.readouterr().err
         assert not (tmp_path / "manifest.txt").exists()
+
+    @pytest.mark.parametrize(
+        "argv", [["--command", "value", "--case", "2"] + SMALL, ["--command", "figure1"]]
+    )
+    def test_a_bound_names_the_cli_key(self, tmp_path, capsys, argv):
+        assert main(argv + ["--out", str(tmp_path), "--set", "m=1"]) == 1
+        assert capsys.readouterr().err == "error: m must be at least 2\n"
 
     @pytest.mark.parametrize("bad", ["knots=15", "m=1", "threads=0"])
     def test_table1_rejects_out_of_range_keys_before_any_work(

@@ -90,6 +90,22 @@ class TestBlocks:
         assert lat.blocks == [(None,)] * 3
         assert reblocked(self.tree(), 9).blocks == [(None,), (None,)]
 
+    def test_widths(self, rng):
+        # the common child count of a level's nodes, 0 where the counts differ
+        assert make_lattice(rng, 3, 3).widths == [3, 3, 3]
+        # a single parent (the root's 5 children), then the ragged level 1
+        assert self.tree().widths == [5, 0]
+        # every node with one child
+        assert build_lattice([[[0.5, 0.5]], [[1.0], [1.0]]]).widths == [2, 1]
+
+    # 16 leaves in groups of 4: one parent per block above the limit, else two
+    @pytest.mark.parametrize("max_children, n_blocks", [(3, 4), (8, 2)])
+    def test_recutting_a_uniform_level_keeps_its_width(self, rng, max_children, n_blocks):
+        lat = make_lattice(rng, 2, 4)
+        split = reblocked(lat, max_children)
+        assert len(split.blocks[1]) == n_blocks
+        assert split.widths == lat.widths == [4, 4]
+
     def test_cond_sum_by_block(self):
         lat = reblocked(self.tree(), 3)
         vals = np.arange(9.0)
