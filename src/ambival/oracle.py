@@ -244,18 +244,15 @@ def random_instance(
     """``(lattice, cash flow, family, grid)`` for one random test problem.
 
     A tree of uniform shape with strictly positive random transition
-    probabilities, a uniform cash flow in [-1, 1] at times 1..T and an
-    exponential tilt of normal per-node scores.  Draws come from ``rng`` in
-    that order.
+    probabilities drawn as one ``(nodes, branching)`` matrix per level, a
+    uniform cash flow in [-1, 1] at times 1..T and an exponential tilt of
+    normal per-node scores.  Draws come from ``rng`` in that order.
     """
     transitions = []
     n_nodes = 1
     for _ in range(horizon):
-        rows = []
-        for _ in range(n_nodes):
-            w = rng.uniform(0.1, 1.0, branching)
-            rows.append(w / w.sum())
-        transitions.append(rows)
+        w = rng.uniform(0.1, 1.0, (n_nodes, branching))
+        transitions.append(w / w.sum(axis=1, keepdims=True))
         n_nodes *= branching
     lattice = build_lattice(transitions)
     payload = {t: rng.uniform(-1.0, 1.0, lattice.n_nodes(t)) for t in range(1, horizon + 1)}

@@ -50,6 +50,9 @@ class ScenarioLattice:
     Nodes at each time level are stored in parent order: the children of
     parent ``j`` at level ``t`` occupy the contiguous index range
     ``child_offsets[t][j]:child_offsets[t][j+1]`` at level ``t + 1``.
+    Construction rejects a node without children and transition
+    probabilities that are not finite, not strictly positive or do not sum
+    to 1 within 1e-12 over each node's children; a NaN or an infinity fails.
 
     Attributes:
         horizon: number of periods ``T``.
@@ -109,14 +112,14 @@ class ScenarioLattice:
     def _validate(self) -> None:
         for t in range(1, self.horizon + 1):
             p = self.probs[t]
-            if np.any(p <= 0.0):
-                bad = int(np.argmax(p <= 0.0))
+            if not np.all(p > 0.0):  # so that a NaN fails too
+                bad = int(np.argmax(~(p > 0.0)))
                 raise ValidationError(
                     f"non-positive transition probability at level {t}, node {bad}"
                 )
             sums = self.cond_sum(t - 1, p)
             off = np.abs(sums - 1.0)
-            if np.any(off > _PROB_TOL):
+            if not np.all(off <= _PROB_TOL):
                 bad = int(np.argmax(off))
                 raise ValidationError(
                     f"probabilities sum to {sums[bad]:.12g} for node {bad} "
@@ -205,10 +208,14 @@ def build_lattice(transitions: Sequence[Sequence[Sequence[float]]]) -> ScenarioL
     Args:
         transitions: ``transitions[t - 1]`` holds one probability row per
             time-``t - 1`` node, listing child probabilities at time ``t``.
+            A period is a sequence of 1-D rows or, when every node has the
+            same number of children, a 2-D array with one row per node.
 
     Raises:
-        ValidationError: if a probability row is not a strictly positive
-            distribution summing to 1 within 1e-12.
+        ValidationError: if a period has the wrong number of rows or a row
+            is not 1-D; :class:`ScenarioLattice` rejects a node without
+            children and probabilities that are not finite, strictly
+            positive and summing to 1 within 1e-12 per node.
     """
     if len(transitions) < 1:
         raise ValidationError("need at least one period of transitions")
@@ -221,22 +228,16 @@ def build_lattice(transitions: Sequence[Sequence[Sequence[float]]]) -> ScenarioL
             raise ValidationError(
                 f"period {t} needs {n_prev} probability rows, got {len(rows)}"
             )
-        par, prb = [], []
-        for j, row in enumerate(rows):
-            row = np.asarray(row, dtype=np.float64)
-            if row.ndim != 1 or len(row) < 1:
-                raise ValidationError(f"empty probability row for node {j} at level {t - 1}")
-            if np.any(row <= 0.0):
-                raise ValidationError(f"non-positive probability in row for node {j} at level {t - 1}")
-            if abs(row.sum() - 1.0) > _PROB_TOL:
-                raise ValidationError(
-                    f"probabilities sum to {row.sum():.12g} for node {j} at level {t - 1}"
-                )
-            par.append(np.full(len(row), j, dtype=np.int64))
-            prb.append(row)
-        parents.append(np.concatenate(par))
-        probs.append(np.concatenate(prb))
-        n_prev = len(parents[-1])
+        try:
+            sizes = np.fromiter(map(len, rows), dtype=np.int64, count=n_prev)
+            prb = np.concatenate(rows, dtype=np.float64)
+        except (TypeError, ValueError) as exc:
+            raise ValidationError(f"malformed probability rows at level {t - 1}: {exc}") from None
+        if prb.ndim != 1:
+            raise ValidationError(f"probability rows at level {t - 1} must be 1-D")
+        parents.append(np.repeat(np.arange(n_prev, dtype=np.int64), sizes))
+        probs.append(prb)
+        n_prev = len(prb)
     return ScenarioLattice(horizon=horizon, parents=parents, probs=probs)
 
 

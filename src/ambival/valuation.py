@@ -173,6 +173,11 @@ def worst_case_cond_exp(
         table = np.empty((len(grid), n))
         for i, theta in enumerate(grid):
             w = np.asarray(family.weights(t + 1, theta, block), dtype=np.float64)
+            if w.shape != v.shape:
+                raise ValidationError(
+                    f"weights at level {t + 1} for theta={theta!r} have shape "
+                    f"{w.shape}, not {v.shape}"
+                )
             if width:
                 w = w.reshape(n, width)
                 row = np.einsum("ij,ij->i", w, pv) / np.einsum("ij,ij->i", w, p)

@@ -168,3 +168,20 @@ class TestBruteForce:
         np.testing.assert_allclose(
             res.payoff_table.min(axis=0).max(), res.sup_inf, atol=1e-15
         )
+
+
+class TestRandomInstance:
+    @pytest.mark.parametrize("horizon, branching", [(1, 3), (2, 2), (2, 3), (3, 2)])
+    def test_a_level_drawn_as_one_matrix_is_the_per_row_stream(self, horizon, branching):
+        # row after row of a (nodes, branching) draw, and the same draws after it
+        ours, ref = np.random.default_rng(3), np.random.default_rng(3)
+        lattice, payload, family, _ = make_instance(ours, horizon, branching)
+        for t in range(1, horizon + 1):
+            rows = [ref.uniform(0.1, 1.0, branching) for _ in range(lattice.n_nodes(t - 1))]
+            expected = np.concatenate([w / w.sum() for w in rows])
+            assert lattice.probs[t].tobytes() == expected.tobytes()
+        for t in range(1, horizon + 1):
+            assert payload[t].tobytes() == ref.uniform(-1.0, 1.0, lattice.n_nodes(t)).tobytes()
+        for t in range(horizon + 1):
+            assert family.scores[t].tobytes() == ref.normal(0.0, 1.0, lattice.n_nodes(t)).tobytes()
+        assert ours.bit_generator.state == ref.bit_generator.state

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ambival.errors import ValidationError
 from ambival.scenario import (
@@ -14,6 +16,41 @@ from ambival.scenario import (
     substream,
 )
 from conftest import make_lattice, reblocked
+
+
+def one_period(row):
+    """The one-period lattice of ``row`` through the lattice constructor."""
+    return ScenarioLattice(horizon=1, parents=[[-1], [0] * len(row)], probs=[[1.0], row])
+
+
+def per_row_reference(transitions):
+    """``(parents, probs, child_offsets)`` per level, one row at a time."""
+    parents, probs, offsets = [np.array([-1])], [np.array([1.0])], []
+    for rows in transitions:
+        parents.append(np.concatenate([np.full(len(r), j) for j, r in enumerate(rows)]))
+        probs.append(np.concatenate([np.asarray(r, dtype=np.float64) for r in rows]))
+        offsets.append(np.concatenate(([0], np.cumsum([len(r) for r in rows]))))
+    return parents, probs, offsets
+
+
+@st.composite
+def transition_rows(draw):
+    """Per-period rows of a tree of horizon 1-3, 1-4 children per node; a
+    level drawn ``uniform`` gives every node the same number of children."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    transitions, n_nodes = [], 1
+    for _ in range(draw(st.integers(1, 3))):
+        if draw(st.booleans()):  # uniform
+            sizes = [draw(st.integers(1, 4))] * n_nodes
+        else:
+            sizes = draw(st.lists(st.integers(1, 4), min_size=n_nodes, max_size=n_nodes))
+        rows = []
+        for k in sizes:
+            w = rng.uniform(0.1, 1.0, k)
+            rows.append(w / w.sum())
+        transitions.append(rows)
+        n_nodes = sum(sizes)
+    return transitions
 
 
 class TestBuildLattice:
@@ -37,14 +74,60 @@ class TestBuildLattice:
     def test_rejects_bad_probability_sum(self):
         with pytest.raises(ValidationError, match="sum to"):
             build_lattice([[[0.6, 0.5]]])
+        # an infinite probability is positive but sums to inf, in either constructor
+        for row in ([0.6, 0.5], [np.inf, 0.5]):
+            with pytest.raises(ValidationError, match="sum to"):
+                build_lattice([[row]])
+            with pytest.raises(ValidationError, match="sum to"):
+                one_period(row)
 
     def test_rejects_nonpositive_probability(self):
         with pytest.raises(ValidationError, match="non-positive"):
             build_lattice([[[1.0, 0.0]]])
+        # NaN compares false both ways: it must fail the positivity check
+        for row in ([1.0, 0.0], [np.nan, 0.5], [np.nan, 1.0], [-np.inf, 1.0]):
+            with pytest.raises(ValidationError, match="non-positive"):
+                build_lattice([[row]])
+            with pytest.raises(ValidationError, match="non-positive"):
+                one_period(row)
 
     def test_rejects_wrong_row_count(self):
         with pytest.raises(ValidationError, match="rows"):
             build_lattice([[[0.5, 0.5]], [[1.0]]])
+
+    @pytest.mark.parametrize(
+        "transitions",
+        [
+            [[0.5]],  # a scalar row
+            [[[[0.5, 0.5]]]],  # a 2-D row
+            [[[0.5, 0.5]], [[[0.5, 0.5]], [1.0]]],  # rows of mixed dimension
+            [[[0.5, 0.5]], [[1.0], [[1.0]]]],
+            [np.full((1, 1, 2), 0.5)],  # a 3-D period
+        ],
+        ids=["scalar-row", "2d-row", "mixed-2d-first", "mixed-1d-first", "3d-period"],
+    )
+    def test_rejects_malformed_rows(self, transitions):
+        with pytest.raises(ValidationError, match="probability rows at level"):
+            build_lattice(transitions)
+
+    def test_rejects_an_empty_row(self):
+        with pytest.raises(ValidationError, match="node without children at level 1"):
+            build_lattice([[[0.5, 0.5]], [[1.0], []]])
+
+    @settings(max_examples=100, deadline=None)
+    @given(transition_rows())
+    def test_matches_a_per_row_build(self, transitions):
+        parents, probs, offsets = per_row_reference(transitions)
+        # the same tree with each uniform level given as one 2-D array
+        arrays = [np.array(rows) if len(set(map(len, rows))) == 1 else rows for rows in transitions]
+        for form in (transitions, arrays):
+            lat = build_lattice(form)
+            for t in range(lat.horizon + 1):
+                assert lat.parents[t].dtype == np.int64
+                np.testing.assert_array_equal(lat.parents[t], parents[t])
+                assert lat.probs[t].tobytes() == probs[t].tobytes()
+            for t in range(lat.horizon):
+                np.testing.assert_array_equal(lat.child_offsets[t], offsets[t])
 
     def test_cond_sum_adds_each_parents_children(self):
         lat = build_lattice([[[0.2, 0.3, 0.5]], [[0.5, 0.5], [1.0], [0.1, 0.9]]])

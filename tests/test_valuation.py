@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from ambival.errors import NumericalError, ValidationError
 from ambival.oracle import snell_bruteforce
-from ambival.priors import ExponentialTiltFamily
+from ambival.priors import DensityFamily, ExponentialTiltFamily
 from ambival.riskmeasures import AVAR, VAR, RiskMeasureSpec, apply_discrete
 from ambival.scenario import AdaptedProcess, ScenarioLattice, build_lattice
 from ambival.valuation import (
@@ -132,6 +132,24 @@ class TestWorstCase:
         for n in (1, 8, 10):
             with pytest.raises(ValidationError, match=rf"level 2 have shape \({n},\), not \(9,\)"):
                 worst_case_cond_exp(lattice, family, grid, np.full(n, 2.0), 1)
+
+    @pytest.mark.parametrize(
+        "transitions, width",
+        [([[[0.5, 0.5]], [[0.5, 0.5], [1.0]]], 0), ([[[1.0]], [[0.2, 0.3, 0.5]]], 3)],
+        ids=["ragged", "uniform"],
+    )
+    def test_rejects_weights_of_another_length(self, transitions, width):
+        class OneWeight(DensityFamily):
+            def weights(self, t, theta, block=None):
+                return np.ones(1)
+
+        lattice = build_lattice(transitions)
+        assert lattice.widths[1] == width
+        # one weight is not broadcast over the level's three children
+        with pytest.raises(
+            ValidationError, match=r"weights at level 2 for theta=0\.5 have shape \(1,\), not \(3,\)"
+        ):
+            worst_case_cond_exp(lattice, OneWeight(), [0.5], np.ones(3), 1)
 
     def test_tie_breaks_to_lowest_index(self, rng):
         lattice, _, family, _ = make_instance(rng, 1, 2)
