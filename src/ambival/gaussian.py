@@ -16,6 +16,7 @@ needs Monte Carlo.  Two ambiguity attitudes are supported:
 
 All sampling is seeded and deterministic; worst-case searches use
 deterministic low-discrepancy boundary grids with local refinement.
+scipy loads at first use, inside the functions that call it.
 """
 
 from __future__ import annotations
@@ -26,9 +27,6 @@ from dataclasses import dataclass, replace
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
-import scipy.linalg
-import scipy.optimize
-from scipy.special import ndtr
 
 from . import scenario
 from .errors import ValidationError
@@ -222,6 +220,8 @@ def estimator_cloud(model: GaussianModel, n_rep: int, seed: int) -> CloudResult:
     cloud = np.column_stack([b0, np.sqrt(s0sq), b1, np.sqrt(s1sq)])
     mu = cloud.mean(axis=0)
     sigma = np.cov(cloud, rowvar=False, ddof=1)
+    import scipy.linalg
+
     try:
         scipy.linalg.cholesky(sigma, lower=True)
     except scipy.linalg.LinAlgError as exc:
@@ -256,6 +256,8 @@ def closed_form_g(theta1, c01, model: GaussianModel, c: float):
     conditional expectation under the selected prior of the positive part of
     the time-1 surplus.  Broadcasts over arrays of ``theta1`` and ``c01``.
     """
+    from scipy.special import ndtr
+
     theta1 = np.asarray(theta1, dtype=np.float64)
     beta1, sigma1 = theta1[..., 0], theta1[..., 1]
     if np.any(sigma1 <= 0.0):
@@ -352,6 +354,9 @@ def _boundary_search(
     vals = objective(grid.points)
     idx = int(np.argmax(vals)) if maximize else int(np.argmin(vals))
     best_val, best_theta = float(vals[idx]), grid.points[idx]
+    import scipy.linalg
+    import scipy.optimize
+
     k = region.dim
     r = math.sqrt(region.radius2)
     y = scipy.linalg.solve_triangular(region.chol, best_theta - region.center, lower=True)
@@ -468,6 +473,8 @@ def case1_upper(model: GaussianModel, region: ParamRegion) -> float:
     vals = at(ang)
     i = int(np.argmax(vals))
     lo, hi = ang[i] - 2.0 * np.pi / 4096, ang[i] + 2.0 * np.pi / 4096
+    import scipy.optimize
+
     res = scipy.optimize.minimize_scalar(
         lambda a: -float(at(np.array([a]))[0]), bounds=(lo, hi), method="bounded",
         options={"xatol": 1e-12},
@@ -581,6 +588,7 @@ def case2_upper(model: GaussianModel, region: ParamRegion) -> float:
             f"rectangular upper bound needs beta1 > 1 over the whole region "
             f"(got beta1_min = {b1_min:.6g})"
         )
+    from scipy.special import ndtr
 
     def obj(thetas: np.ndarray) -> np.ndarray:
         b0, s0, b1 = thetas[:, 0], thetas[:, 1], thetas[:, 2]

@@ -18,13 +18,13 @@ from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
-import scipy.linalg
 
 from .errors import ValidationError
 from .scenario import LevelBlock, ScenarioLattice, StoppingTime
 
-# scipy.stats (about 22 MB and 0.5 s to import) is imported by the region and
-# grid functions that use it, so density processes and the oracle never load it.
+# scipy (about 70 MB and 0.9 s to import with the modules gaussian uses) is
+# imported inside the functions that use it, here and in gaussian, so density
+# processes, the lattice engine and the oracle run with numpy alone.
 
 _MARTINGALE_TOL = 1e-10
 _MAX_DROP_FRACTION = 0.10
@@ -284,6 +284,8 @@ class ParamRegion:
         z = np.atleast_2d(np.asarray(z, dtype=np.float64))
         if z.shape[-1] != self.dim:
             raise ValidationError(f"theta has {z.shape[-1]} coordinates, not {self.dim}")
+        import scipy.linalg
+
         y = scipy.linalg.solve_triangular(self.chol, (z - self.center).T, lower=True)
         out = np.sum(y * y, axis=0)
         return out if out.size > 1 else out[0]
@@ -316,6 +318,8 @@ def ellipsoid_region(mu: np.ndarray, sigma: np.ndarray, p: float, k: int) -> Par
         raise ValidationError("confidence level must lie in (0,1)")
     if np.max(np.abs(sigma - sigma.T)) > 1e-12 * max(1.0, np.max(np.abs(sigma))):
         raise ValidationError("covariance must be symmetric")
+    import scipy.linalg
+
     try:
         chol = scipy.linalg.cholesky(0.5 * (sigma + sigma.T), lower=True)
     except scipy.linalg.LinAlgError as exc:
@@ -337,6 +341,8 @@ def project_region(region: ParamRegion, coords: Sequence[int]) -> ParamRegion:
         raise ValidationError("coordinate subset must be nonempty")
     if any(c < 0 or c >= region.dim for c in coords):
         raise ValidationError("coordinate index out of range")
+    import scipy.linalg
+
     sigma = region.chol @ region.chol.T
     sub = sigma[np.ix_(coords, coords)]
     return ParamRegion(

@@ -102,8 +102,7 @@ class ScenarioLattice:
         offsets = []
         for t in range(self.horizon):
             counts = np.bincount(self.parents[t + 1], minlength=self.n_nodes(t))
-            if np.any(counts == 0):
-                raise ValidationError(f"node without children at level {t}")
+            _require_children(counts, t)
             if np.any(np.diff(self.parents[t + 1]) < 0):
                 raise ValidationError("child nodes must be stored in parent order")
             offsets.append(np.concatenate(([0], np.cumsum(counts))))
@@ -202,6 +201,11 @@ def _cut_blocks(
     return blocks
 
 
+def _require_children(counts: np.ndarray, level: int) -> None:
+    if np.any(counts == 0):
+        raise ValidationError(f"node without children at level {level}")
+
+
 def build_lattice(transitions: Sequence[Sequence[Sequence[float]]]) -> ScenarioLattice:
     """Build a lattice from per-period transition rows.
 
@@ -212,10 +216,10 @@ def build_lattice(transitions: Sequence[Sequence[Sequence[float]]]) -> ScenarioL
             same number of children, a 2-D array with one row per node.
 
     Raises:
-        ValidationError: if a period has the wrong number of rows or a row
-            is not 1-D; :class:`ScenarioLattice` rejects a node without
-            children and probabilities that are not finite, strictly
-            positive and summing to 1 within 1e-12 per node.
+        ValidationError: if a period is not a sequence of rows, has the
+            wrong number of rows, or has an empty or non-1-D row;
+            :class:`ScenarioLattice` rejects probabilities that are not
+            finite, strictly positive and summing to 1 within 1e-12 per node.
     """
     if len(transitions) < 1:
         raise ValidationError("need at least one period of transitions")
@@ -224,10 +228,14 @@ def build_lattice(transitions: Sequence[Sequence[Sequence[float]]]) -> ScenarioL
     probs: List[np.ndarray] = [np.array([1.0])]
     n_prev = 1
     for t, rows in enumerate(transitions, start=1):
-        if len(rows) != n_prev:
+        try:
+            n_rows = len(rows)
+        except TypeError:
             raise ValidationError(
-                f"period {t} needs {n_prev} probability rows, got {len(rows)}"
-            )
+                f"malformed probability rows at level {t - 1}: period {t} is not a sequence of rows"
+            ) from None
+        if n_rows != n_prev:
+            raise ValidationError(f"period {t} needs {n_prev} probability rows, got {n_rows}")
         try:
             sizes = np.fromiter(map(len, rows), dtype=np.int64, count=n_prev)
             prb = np.concatenate(rows, dtype=np.float64)
@@ -235,6 +243,7 @@ def build_lattice(transitions: Sequence[Sequence[Sequence[float]]]) -> ScenarioL
             raise ValidationError(f"malformed probability rows at level {t - 1}: {exc}") from None
         if prb.ndim != 1:
             raise ValidationError(f"probability rows at level {t - 1} must be 1-D")
+        _require_children(sizes, t - 1)
         parents.append(np.repeat(np.arange(n_prev, dtype=np.int64), sizes))
         probs.append(prb)
         n_prev = len(prb)

@@ -1,6 +1,11 @@
 """Config parsing, command dispatch and exit codes."""
 
+import json
+import os
+import subprocess
+import sys
 from dataclasses import fields
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -267,3 +272,29 @@ class TestKeyTable:
         argv, cfg = MANIFEST_RUNS[run]
         assert main(argv + ["--out", str(tmp_path)]) == 0
         assert manifest_keys(tmp_path / "manifest.txt") == [f for f in FIELDS if f in cfg.reads()]
+
+
+# Imports every numpy-only module, runs the two lattice commands into argv[1] and
+# prints, last, the scipy modules the process has loaded.
+COLD_START = """
+import json, sys
+import ambival.scenario, ambival.riskmeasures, ambival.priors, ambival.valuation
+import ambival.oracle, ambival.gaussian, ambival.cli
+for argv in (["--command", "oracle-check", "--seed", "1"], ["--command", "validate"]):
+    assert ambival.cli.main(argv + ["--out", sys.argv[1]]) == 0, argv
+print(json.dumps(sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))))
+"""
+
+
+class TestColdStart:
+    def test_lattice_commands_run_without_scipy(self, tmp_path):
+        # a fresh interpreter, so that no other test's import can hide one of these
+        src = str(Path(ambival.cli.__file__).parents[1])
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        proc = subprocess.run(
+            [sys.executable, "-c", COLD_START, str(tmp_path)],
+            cwd=tmp_path, env={**os.environ, "PYTHONPATH": path},
+            capture_output=True, text=True,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(proc.stdout.splitlines()[-1]) == []

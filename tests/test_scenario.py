@@ -103,8 +103,12 @@ class TestBuildLattice:
             [[[0.5, 0.5]], [[[0.5, 0.5]], [1.0]]],  # rows of mixed dimension
             [[[0.5, 0.5]], [[1.0], [[1.0]]]],
             [np.full((1, 1, 2), 0.5)],  # a 3-D period
+            [0.5],  # a period that is not a sequence of rows
         ],
-        ids=["scalar-row", "2d-row", "mixed-2d-first", "mixed-1d-first", "3d-period"],
+        ids=[
+            "scalar-row", "2d-row", "mixed-2d-first", "mixed-1d-first", "3d-period",
+            "scalar-period",
+        ],
     )
     def test_rejects_malformed_rows(self, transitions):
         with pytest.raises(ValidationError, match="probability rows at level"):
@@ -113,6 +117,18 @@ class TestBuildLattice:
     def test_rejects_an_empty_row(self):
         with pytest.raises(ValidationError, match="node without children at level 1"):
             build_lattice([[[0.5, 0.5]], [[1.0], []]])
+
+    @pytest.mark.parametrize(
+        "transitions",
+        [
+            [[[0.5, 0.5]], [[], []]],
+            [[[0.5, 0.5]], [[], []], [[1.0]]],  # not reported as the next period's row count
+        ],
+        ids=["last-period", "period-followed"],
+    )
+    def test_rejects_a_level_of_empty_rows(self, transitions):
+        with pytest.raises(ValidationError, match="node without children at level 1"):
+            build_lattice(transitions)
 
     @settings(max_examples=100, deadline=None)
     @given(transition_rows())
