@@ -105,8 +105,9 @@ class ExponentialTiltFamily(DensityFamily):
         lat = self.lattice
         raw = self.weights(t, theta, block)
         probs, parent_of = lat.probs[t], lat.parents[t]
-        if block is not None:
-            probs, parent_of = probs[block.children], block.parent_of
+        if block is not None:  # derived per call: the engine reads only the weights
+            probs = probs[block.children]
+            parent_of = parent_of[block.children] - block.nodes.start
         z = lat.cond_sum(t - 1, probs * raw, block)
         return raw / z[parent_of]
 

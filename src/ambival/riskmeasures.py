@@ -38,13 +38,14 @@ class RiskMeasureSpec:
             raise ValidationError("level must lie in (0,1)")
 
 
-def _as_losses(sample: np.ndarray) -> np.ndarray:
+def _checked(sample: np.ndarray) -> np.ndarray:
+    """The sample as float64, rejected if empty or not finite; no copy of float64 input."""
     sample = np.asarray(sample, dtype=np.float64)
     if sample.size == 0:
         raise ValidationError("empty sample")
     if not np.all(np.isfinite(sample)):
         raise ValidationError("non-finite sample values")
-    return -sample
+    return sample
 
 
 def gaussian_c(spec: RiskMeasureSpec) -> float:
@@ -72,7 +73,7 @@ def apply_empirical(spec: RiskMeasureSpec, y: np.ndarray) -> np.ndarray:
     the ``ceil(q n) + 1`` largest losses (later ones carry zero weight; the
     extra one absorbs the rounding of ``q n``).  A 1-D sample gives a scalar.
     """
-    losses = _as_losses(y)
+    losses = -_checked(y)
     n = losses.shape[-1]
     if spec.kind == VAR:
         k = int(np.ceil((1.0 - spec.level) * n - _TIE_EPS))
@@ -96,14 +97,16 @@ def apply_discrete(
     mean of the upper-``q`` loss tail, the marginal atom entering with
     fractional weight.  Tied atoms keep their index order.  Segments of equal
     size are measured as the rows of matrices of at most ``_BLOCK`` atoms, so
-    cumulative sums run within each segment and scratch memory stays bounded.
+    cumulative sums run within each segment and scratch memory stays bounded:
+    ``values`` is checked in place and only each gathered matrix is negated
+    into losses, so the level is never copied whole.
     """
-    losses = _as_losses(values)
+    values = _checked(values)
     probs = np.asarray(probs, dtype=np.float64)
     offsets = np.asarray(offsets, dtype=np.int64)
     sizes = np.diff(offsets)
-    if probs.shape != losses.shape or losses.ndim != 1 or len(offsets) < 2 or (
-        offsets[0] != 0 or offsets[-1] != len(losses) or np.any(sizes < 1)
+    if probs.shape != values.shape or values.ndim != 1 or len(offsets) < 2 or (
+        offsets[0] != 0 or offsets[-1] != len(values) or np.any(sizes < 1)
     ):
         raise ValidationError("offsets must cut atoms and probabilities into nonempty segments")
     out = np.empty(len(sizes))
@@ -112,7 +115,7 @@ def apply_discrete(
         step = max(1, _BLOCK // size)
         for part in (seg[i : i + step] for i in range(0, len(seg), step)):
             idx = offsets[part, None] + np.arange(size)
-            out[part] = _measure_rows(spec, losses[idx], probs[idx])
+            out[part] = _measure_rows(spec, -values[idx], probs[idx])
     return out
 
 

@@ -33,14 +33,12 @@ class LevelBlock:
     their children ``children`` at level ``t + 1``.
 
     ``starts`` holds the first child of each parent, counted from the
-    block's first child, and ``parent_of`` the parent of each child, counted
-    from the block's first parent.
+    block's first child.
     """
 
     nodes: slice
     children: slice
     starts: np.ndarray
-    parent_of: np.ndarray
 
 
 @dataclass
@@ -71,8 +69,9 @@ class ScenarioLattice:
         widths: per level ``t < T``, the number of children of every
             level-``t`` node when they all have the same number, else 0;
             derived from ``child_offsets``.  The worst-case expectation runs
-            a level of nonzero width as the rows of a ``(parents, width)``
-            matrix and a ragged level through :meth:`cond_sum`.
+            a large level of nonzero width as the rows of a
+            ``(parents, width)`` matrix and a small or ragged level through
+            :meth:`cond_sum`.
     """
 
     horizon: int
@@ -92,9 +91,7 @@ class ScenarioLattice:
         self.parents = [np.asarray(p, dtype=np.int64) for p in self.parents]
         self.probs = [np.asarray(p, dtype=np.float64) for p in self.probs]
         self.child_offsets = self._build_child_offsets()
-        self.blocks = [
-            _cut_blocks(off, par) for off, par in zip(self.child_offsets, self.parents[1:])
-        ]
+        self.blocks = [_cut_blocks(off) for off in self.child_offsets]
         self.widths = [_width(off) for off in self.child_offsets]
         self._validate()
 
@@ -103,7 +100,8 @@ class ScenarioLattice:
         for t in range(self.horizon):
             counts = np.bincount(self.parents[t + 1], minlength=self.n_nodes(t))
             _require_children(counts, t)
-            if np.any(np.diff(self.parents[t + 1]) < 0):
+            par = self.parents[t + 1]
+            if np.any(par[1:] < par[:-1]):  # a boolean temporary, not an int64 diff
                 raise ValidationError("child nodes must be stored in parent order")
             offsets.append(np.concatenate(([0], np.cumsum(counts))))
         return offsets
@@ -174,11 +172,9 @@ def _width(offsets: np.ndarray) -> int:
     return int(counts[0]) if np.all(counts == counts[0]) else 0
 
 
-def _cut_blocks(
-    offsets: np.ndarray, parents_next: np.ndarray
-) -> Sequence[Optional[LevelBlock]]:
-    """Greedy cut of a level into :class:`LevelBlock`, given its child offsets
-    and the parent of each child; ``(None,)`` for a level that fits in one."""
+def _cut_blocks(offsets: np.ndarray) -> Sequence[Optional[LevelBlock]]:
+    """Greedy cut of a level into :class:`LevelBlock`, given its child offsets;
+    ``(None,)`` for a level that fits in one."""
     if offsets[-1] <= _BLOCK:
         return (None,)
     blocks = []
@@ -187,14 +183,11 @@ def _cut_blocks(
         # the most parents from ``first`` on whose children fit in one block
         stop = int(np.searchsorted(offsets, offsets[first] + _BLOCK, side="right")) - 1
         stop = max(stop, first + 1)
-        children = slice(int(offsets[first]), int(offsets[stop]))
-        parent_of = parents_next[children]  # a view for the first block
         blocks.append(
             LevelBlock(
                 nodes=slice(first, stop),
-                children=children,
+                children=slice(int(offsets[first]), int(offsets[stop])),
                 starts=offsets[first:stop] - offsets[first],
-                parent_of=parent_of - first if first else parent_of,
             )
         )
         first = stop
@@ -216,14 +209,21 @@ def build_lattice(transitions: Sequence[Sequence[Sequence[float]]]) -> ScenarioL
             same number of children, a 2-D array with one row per node.
 
     Raises:
-        ValidationError: if a period is not a sequence of rows, has the
-            wrong number of rows, or has an empty or non-1-D row;
+        ValidationError: if ``transitions`` is not a sequence of periods,
+            or a period is not a sequence of rows, has the wrong number of
+            rows, or has an empty or non-1-D row;
             :class:`ScenarioLattice` rejects probabilities that are not
             finite, strictly positive and summing to 1 within 1e-12 per node.
     """
-    if len(transitions) < 1:
+    try:
+        horizon = len(transitions)
+    except TypeError:
+        raise ValidationError(
+            "transitions must be a sequence of periods, "
+            f"got {type(transitions).__name__}"
+        ) from None
+    if horizon < 1:
         raise ValidationError("need at least one period of transitions")
-    horizon = len(transitions)
     parents: List[np.ndarray] = [np.array([-1])]
     probs: List[np.ndarray] = [np.array([1.0])]
     n_prev = 1

@@ -17,11 +17,19 @@ enters only through the worst-case conditional expectation in ``C_t``.  Its
 reweighted expectation is self-normalised: with the family's weights ``w``
 (proportional to ``f_{t+1}`` within each sibling group) it is
 ``E_t[w v] / E_t[w]``, one division per parent.  Each level is evaluated one
-block of whole sibling groups at a time.  On a level whose nodes all have the
-same number of children (``lattice.widths``) the two sums are row dot
-products of ``(parents, width)`` matrices; a ragged level sums through
+block of whole sibling groups at a time.  On a level of at least
+``_ROW_MIN_CHILDREN`` children whose nodes all have the same number of
+children (``lattice.widths``) the two sums are row dot products of
+``(parents, width)`` matrices; a smaller or ragged level sums through
 ``ScenarioLattice.cond_sum``.  Either way the results are bit-identical
 however the level is cut into blocks.
+
+Memory: besides its inputs and its outputs, the recursion holds at most two
+level-sized float arrays at a time, the position ``-X_{t+1} - V_{t+1}`` and
+the surplus, each reused in place for the next quantity.  The risk measure
+(``apply_discrete``) checks the position in place and negates only the
+block-sized matrices it gathers, so it makes no whole-level copy, and the
+worst-case expectation's scratch is block-sized.
 """
 
 from __future__ import annotations
@@ -35,6 +43,11 @@ from .errors import NumericalError, ValidationError
 from .priors import DensityFamily, density_process
 from .riskmeasures import RiskMeasureSpec, apply_discrete
 from .scenario import AdaptedProcess, ScenarioLattice, StoppingTime, assert_adapted
+
+# Fewest children of a level for its sums to run as matrix rows: below it the
+# two einsum calls per theta cost more than two reduceat calls (measured
+# crossover on 256-2,048 children of 2-32 per parent).
+_ROW_MIN_CHILDREN = 1 << 10
 
 
 @dataclass
@@ -76,7 +89,11 @@ class CashFlowSpec:
 
 @dataclass
 class ValuationOutput:
-    """Per-time, per-state results of the backward recursion."""
+    """Per-time, per-state results of the backward recursion.
+
+    ``R[T]``, ``C[T]`` and ``V[T]`` are one shared read-only array of zeros
+    without storage of its own (``np.broadcast_to``); copy them to write.
+    """
 
     horizon: int
     R: Dict[int, np.ndarray]
@@ -145,10 +162,11 @@ def worst_case_cond_exp(
     normalised child by child.  The level is evaluated one block of whole
     sibling groups at a time (``lattice.blocks[t]``), every grid point inside
     the block, so the block's arrays stay in cache across the grid.  On a
-    level of nonzero ``lattice.widths[t]`` the block's ``p``, ``p * v`` and
-    each grid point's weights are ``(parents, width)`` matrices and both sums
-    are row dot products (``einsum``, whose order within a row does not
-    depend on the number of rows); a ragged level sums through
+    level of nonzero ``lattice.widths[t]`` with at least
+    ``_ROW_MIN_CHILDREN`` children the block's ``p``, ``p * v`` and each
+    grid point's weights are ``(parents, width)`` matrices and both sums are
+    row dot products (``einsum``, whose order within a row does not depend on
+    the number of rows); a smaller or ragged level sums through
     ``lattice.cond_sum``.  Either way each parent's sums cover the same
     children in the same order as a whole-level pass.
     """
@@ -159,7 +177,9 @@ def worst_case_cond_exp(
         raise ValidationError(
             f"values at level {t + 1} have shape {np.shape(values_next)}, not ({n_next},)"
         )
-    probs, width = lattice.probs[t + 1], lattice.widths[t]
+    probs = lattice.probs[t + 1]
+    # decided per level, so that every block of a level sums the same way
+    width = lattice.widths[t] if n_next >= _ROW_MIN_CHILDREN else 0
     mins, args = [], []
     for block in lattice.blocks[t]:
         if block is None:  # the whole level
@@ -224,22 +244,27 @@ def value_multiprior(
         for theta in grid:
             if not family.region.membership(theta):
                 raise ValidationError(f"theta {theta!r} outside the parameter region")
-    zeros_T = np.zeros(lattice.n_nodes(T))
-    R = {T: zeros_T.copy()}
-    C = {T: zeros_T.copy()}
-    V = {T: zeros_T.copy()}
+    zeros_T = np.broadcast_to(0.0, (lattice.n_nodes(T),))  # read-only, no storage
+    R = {T: zeros_T}
+    C = {T: zeros_T}
+    V = {T: zeros_T}
     theta_star: Dict[int, np.ndarray] = {}
     default_ind: Dict[int, np.ndarray] = {}
     for t in range(T - 1, -1, -1):
-        y_next = cf.x(t + 1) + V[t + 1]
-        R[t] = cond_risk(lattice, rm, -y_next, t)
+        x = cf.x(t + 1)
+        # the two level-sized scratch arrays: the position -y_{t+1} and the surplus
+        pos = np.add(x, V[t + 1])
+        np.negative(pos, out=pos)
+        R[t] = cond_risk(lattice, rm, pos, t)
+        surplus = R[t][lattice.parents[t + 1]]
+        # R_t - y_{t+1}: a + (-b) is a - b exactly in IEEE arithmetic
+        default_ind[t + 1] = np.add(surplus, pos, out=pos) < 0.0
         # worst-case expected positive surplus, then the net value
-        w = R[t][lattice.parents[t + 1]] - cf.x(t + 1) - V[t + 1]
-        C[t], theta_star[t] = worst_case_cond_exp(
-            lattice, family, grid, np.maximum(w, 0.0), t
-        )
+        surplus -= x
+        surplus -= V[t + 1]
+        np.maximum(surplus, 0.0, out=surplus)
+        C[t], theta_star[t] = worst_case_cond_exp(lattice, family, grid, surplus, t)
         V[t] = R[t] - C[t]
-        default_ind[t + 1] = (R[t][lattice.parents[t + 1]] - y_next) < 0.0
     return ValuationOutput(
         horizon=T,
         R=R,

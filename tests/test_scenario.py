@@ -96,22 +96,27 @@ class TestBuildLattice:
             build_lattice([[[0.5, 0.5]], [[1.0]]])
 
     @pytest.mark.parametrize(
-        "transitions",
+        "transitions, message",
         [
-            [[0.5]],  # a scalar row
-            [[[[0.5, 0.5]]]],  # a 2-D row
-            [[[0.5, 0.5]], [[[0.5, 0.5]], [1.0]]],  # rows of mixed dimension
-            [[[0.5, 0.5]], [[1.0], [[1.0]]]],
-            [np.full((1, 1, 2), 0.5)],  # a 3-D period
-            [0.5],  # a period that is not a sequence of rows
+            ([[0.5]], "probability rows at level 0"),  # a scalar row
+            ([[[[0.5, 0.5]]]], "probability rows at level 0"),  # a 2-D row
+            # rows of mixed dimension
+            ([[[0.5, 0.5]], [[[0.5, 0.5]], [1.0]]], "probability rows at level 1"),
+            ([[[0.5, 0.5]], [[1.0], [[1.0]]]], "probability rows at level 1"),
+            ([np.full((1, 1, 2), 0.5)], "probability rows at level 0"),  # a 3-D period
+            # a period that is not a sequence of rows
+            ([0.5], "probability rows at level 0: period 1 is not a sequence of rows"),
+            # transitions that are not a sequence of periods
+            (0.5, "transitions must be a sequence of periods, got float"),
+            (None, "transitions must be a sequence of periods, got NoneType"),
         ],
         ids=[
             "scalar-row", "2d-row", "mixed-2d-first", "mixed-1d-first", "3d-period",
-            "scalar-period",
+            "scalar-period", "scalar-transitions", "none-transitions",
         ],
     )
-    def test_rejects_malformed_rows(self, transitions):
-        with pytest.raises(ValidationError, match="probability rows at level"):
+    def test_rejects_malformed_rows(self, transitions, message):
+        with pytest.raises(ValidationError, match=message):
             build_lattice(transitions)
 
     def test_rejects_an_empty_row(self):
@@ -175,11 +180,8 @@ class TestBlocks:
         # so it is a block on its own; parents 3-4 share the last one
         assert [(b.nodes.start, b.nodes.stop) for b in level] == [(0, 2), (2, 3), (3, 5)]
         assert [(b.children.start, b.children.stop) for b in level] == [(0, 3), (3, 7), (7, 9)]
-        for b, starts, parent_of in zip(
-            level, ([0, 1], [0], [0, 1]), ([0, 1, 1], [0, 0, 0, 0], [0, 1])
-        ):
+        for b, starts in zip(level, ([0, 1], [0], [0, 1])):
             np.testing.assert_array_equal(b.starts, starts)
-            np.testing.assert_array_equal(b.parent_of, parent_of)
         # the root's five children exceed the limit: one oversized block
         (root,) = lat.blocks[0]
         assert root.nodes == slice(0, 1) and root.children == slice(0, 5)

@@ -1,5 +1,7 @@
 """Backward recursion, bounds, default times and diagnostics."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -11,6 +13,7 @@ from ambival.priors import DensityFamily, ExponentialTiltFamily
 from ambival.riskmeasures import AVAR, VAR, RiskMeasureSpec, apply_discrete
 from ambival.scenario import AdaptedProcess, ScenarioLattice, build_lattice
 from ambival.valuation import (
+    _ROW_MIN_CHILDREN,
     CashFlowSpec,
     lower_bound,
     optimal_default_times,
@@ -245,6 +248,21 @@ class TestBlocks:
             v = out.R[t] - c
             np.testing.assert_allclose(out.V[t], v, rtol=0.0, atol=1e-12)
 
+    def test_row_sums_change_no_bit_by_block(self):
+        # 1,024 leaves in groups of 32: level 1 sums as matrix rows, in 11 blocks when split
+        lattice, payload, family, grid = make_instance(np.random.default_rng(3), 2, 32)
+        assert lattice.widths[1] == 32 and lattice.n_nodes(2) >= _ROW_MIN_CHILDREN
+        split = reblocked(lattice, 100)
+        split_family = ExponentialTiltFamily(split, family.scores)
+        assert len(split.blocks[1]) == 11
+        for kind in (VAR, AVAR):
+            rm = RiskMeasureSpec(kind, 0.3)
+            whole = value_multiprior(make_cf(payload), rm, family, grid, lattice)
+            by_block = value_multiprior(make_cf(payload), rm, split_family, grid, split)
+            for name in ("R", "C", "V", "theta_star"):
+                for t, a in getattr(whole, name).items():
+                    assert a.tobytes() == getattr(by_block, name)[t].tobytes()
+
     @pytest.mark.parametrize("max_children", [None, 2])
     def test_non_finite_expectation_names_the_global_state(self, max_children):
         # the tilt of leaf 5, the second child of time-1 state 2, overflows at theta = 1
@@ -258,6 +276,37 @@ class TestBlocks:
         with np.errstate(over="ignore", invalid="ignore"):
             with pytest.raises(NumericalError, match=r"at t=1, state 2, theta=1\.0"):
                 value_multiprior(cf, RiskMeasureSpec(VAR, 0.1), family, [0.0, 1.0], lattice)
+
+
+class TestScratchMemory:
+    """The recursion's scratch stays within a few level-sized arrays (bytes, not time)."""
+
+    @pytest.mark.parametrize("kind", [VAR, AVAR])
+    def test_peak_allocation_and_inputs(self, kind):
+        # 262,144 leaves: level 1 runs in four blocks
+        lattice, payload, family, grid = make_instance(np.random.default_rng(0), 2, 512)
+        cf = make_cf(payload)
+        leaves = lattice.n_nodes(2)
+        inputs = [cf.x(t) for t in (1, 2)] + lattice.parents + lattice.probs
+        before = [a.tobytes() for a in inputs]
+        rm = RiskMeasureSpec(kind, 0.05)
+        # a first call imports the numpy modules that load on first use
+        small, small_payload, small_family, _ = make_instance(np.random.default_rng(1), 1, 2)
+        value_multiprior(make_cf(small_payload), rm, small_family, grid, small)
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            out = value_multiprior(cf, rm, family, grid, lattice)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert peak <= 4 * 8 * leaves, f"peak {peak / (8 * leaves):.2f} leaf-level arrays"
+        for name in ("R", "C", "V"):
+            terminal = getattr(out, name)[2]
+            assert terminal.shape == (leaves,) and not terminal.flags.writeable
+            assert not np.any(terminal)
+        assert [a.tobytes() for a in inputs] == before
 
 
 class TestRecursion:
