@@ -237,7 +237,7 @@ def _cmd_value(cfg: RunConfig, out_dir: Path) -> None:
         "case,p,q,lower,upper,n,seed\n"
         f"{case},{cfg.p!r},{cfg.q!r},{lower!r},{upper!r},{cfg.n},{cfg.seed}\n",
     )
-    _write_manifest(out_dir, cfg)
+    _write_manifest(out_dir, cfg, mu=cloud.mu, sigma=cloud.sigma)
     print(f"{case} p={cfg.p} q={cfg.q}: ({lower:.3f}, {upper:.3f})")
 
 

@@ -24,7 +24,7 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import dataclass, replace
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -47,6 +47,7 @@ CASE2 = "CASE2"
 
 _SIGMA_FLOOR = 1e-12
 _M_SEARCH = 512  # coarse full-dimensional boundary grid of the worst-case searches
+_CLOUD_BLOCK = 8192  # triangles simulated and fitted at once by estimator_cloud
 CASE_MINIMUMS = {"threads": 1, "knots": 16, "m_boundary": 2}  # least value of each CaseConfig field
 
 # coordinate layout of theta vectors
@@ -144,19 +145,29 @@ def simulate_triangle(
         raise ValidationError(
             f"{n_years} accident years, but the model has {len(model.exposures)} exposures"
         )
-    c1, c2 = _simulate_triangles(model, n_years, 1, seed)
+    _, c1, c2 = next(_triangle_blocks(model, n_years, 1, seed))
     return c1[0], c2[0]
 
 
-def _simulate_triangles(
+def _triangle_blocks(
     model: GaussianModel, n_years: int, n_rep: int, seed: int
-) -> Tuple[np.ndarray, np.ndarray]:
+) -> Iterator[Tuple[slice, np.ndarray, np.ndarray]]:
+    """``n_rep`` simulated triangles in ``(rows, c1, c2)`` blocks of ``_CLOUD_BLOCK`` rows.
+
+    Each column's substream is read in order, so the triangles do not depend
+    on the block size.  The last block takes a one-row remainder: numpy fits a
+    single row with a dot product in place of the BLAS matrix-vector product,
+    whose sums round differently.
+    """
     v = model.exposures[:n_years]
-    e1 = scenario.substream(seed, 0).standard_normal((n_rep, n_years))
-    e2 = scenario.substream(seed, 1).standard_normal((n_rep, n_years - 1))
-    c1 = model.beta0 + model.sigma0 / np.sqrt(v) * e1
-    c2 = model.beta1 * c1[:, : n_years - 1] + model.sigma1 / np.sqrt(v[: n_years - 1]) * e2
-    return c1, c2
+    g1, g2 = scenario.substream(seed, 0), scenario.substream(seed, 1)
+    edges = [0, *range(_CLOUD_BLOCK, n_rep - 1, _CLOUD_BLOCK), n_rep]
+    for start, stop in zip(edges[:-1], edges[1:]):
+        e1 = g1.standard_normal((stop - start, n_years))
+        e2 = g2.standard_normal((stop - start, n_years - 1))
+        c1 = model.beta0 + model.sigma0 / np.sqrt(v) * e1
+        c2 = model.beta1 * c1[:, : n_years - 1] + model.sigma1 / np.sqrt(v[: n_years - 1]) * e2
+        yield slice(start, stop), c1, c2
 
 
 def fit_params(
@@ -211,13 +222,20 @@ def estimator_cloud(model: GaussianModel, n_rep: int, seed: int) -> CloudResult:
 
     Returns the sample mean and covariance of the estimate vectors; the
     volatility coordinates are the square roots of the variance estimators.
+    The triangles are simulated and fitted in blocks of ``_CLOUD_BLOCK``
+    replications straight into the preallocated ``(n_rep, 4)`` cloud, so
+    besides the cloud only a few block-sized arrays are held at once; the
+    covariance copies the cloud once, so the peak allocation is about twice
+    the cloud's size.  The cloud does not depend on the block size.
     """
     if n_rep < 100:
         raise ValidationError("estimator cloud needs at least 100 replications")
     n_years = -model.i0  # years i0 .. -1 observed with both columns shifted
-    c1, c2 = _simulate_triangles(model, n_years, n_rep, seed)
-    b0, s0sq, b1, s1sq = _estimators(c1, c2, model.exposures[:n_years])
-    cloud = np.column_stack([b0, np.sqrt(s0sq), b1, np.sqrt(s1sq)])
+    v1 = model.exposures[:n_years]
+    cloud = np.empty((n_rep, 4))
+    for rows, c1, c2 in _triangle_blocks(model, n_years, n_rep, seed):
+        b0, s0sq, b1, s1sq = _estimators(c1, c2, v1)
+        cloud[rows] = np.column_stack([b0, np.sqrt(s0sq), b1, np.sqrt(s1sq)])
     mu = cloud.mean(axis=0)
     sigma = np.cov(cloud, rowvar=False, ddof=1)
     import scipy.linalg

@@ -56,12 +56,12 @@ def gaussian_c(spec: RiskMeasureSpec) -> float:
     ``Phi^{-1}(1 - q)`` for value-at-risk, ``phi(Phi^{-1}(1 - q)) / q`` for
     average value-at-risk.
     """
-    from scipy.stats import norm  # on first use: the lattice kernel never needs scipy.stats
+    from scipy.special import ndtri  # on first use: the lattice kernel never needs scipy
 
-    z = norm.ppf(1.0 - spec.level)
+    z = ndtri(1.0 - spec.level)
     if spec.kind == VAR:
         return float(z)
-    return float(norm.pdf(z) / spec.level)
+    return float(np.exp(-z**2 / 2.0) / np.sqrt(2 * np.pi) / spec.level)
 
 
 def apply_empirical(spec: RiskMeasureSpec, y: np.ndarray) -> np.ndarray:

@@ -274,6 +274,20 @@ class TestKeyTable:
         assert manifest_keys(tmp_path / "manifest.txt") == [f for f in FIELDS if f in cfg.reads()]
 
 
+    @pytest.mark.parametrize("case", ["1", "2"])
+    def test_value_manifest_records_the_region_inputs(self, tmp_path, case):
+        argv = ["--command", "value", "--case", case, "--seed", "3"] + SMALL
+        assert main(argv + ["--out", str(tmp_path)]) == 0
+        rows = dict(
+            line.split(" = ", 1) for line in (tmp_path / "manifest.txt").read_text().splitlines()
+        )
+        cloud = ambival.gaussian.estimator_cloud(ambival.gaussian.paper_model(), 2000, 3)
+        for name, mat in (("mu", cloud.mu[None, :]), ("sigma", cloud.sigma)):
+            for i, row in enumerate(mat):
+                assert [float(x) for x in rows.pop(f"{name}_{i}").split()] == list(row)
+        assert not any(key.startswith(("mu_", "sigma_")) for key in rows)
+
+
 # Imports every numpy-only module, runs the two lattice commands into argv[1] and
 # prints, last, the scipy modules the process has loaded.
 COLD_START = """
@@ -285,16 +299,37 @@ for argv in (["--command", "oracle-check", "--seed", "1"], ["--command", "valida
 print(json.dumps(sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))))
 """
 
+# Runs both value cases and figure1 into argv[1] and prints, last, the
+# scipy.stats modules the process has loaded.
+GAUSSIAN_COLD_START = """
+import json, sys
+import ambival.cli
+small = ["--n", "2000", "--set", "cloud_n_rep=2000"]
+for argv in (["--command", "value", "--case", "1"] + small,
+             ["--command", "value", "--case", "2"] + small, ["--command", "figure1"]):
+    assert ambival.cli.main(argv + ["--out", sys.argv[1]]) == 0, argv
+stats = [m for m in sys.modules if m == "scipy.stats" or m.startswith("scipy.stats.")]
+print(json.dumps(sorted(stats)))
+"""
+
+
+def loaded_modules(script, tmp_path):
+    """Run ``script`` in a fresh interpreter, so that no other test's import can
+    hide a module, and return the JSON list it prints last."""
+    src = str(Path(ambival.cli.__file__).parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", script, str(tmp_path)],
+        cwd=tmp_path, env={**os.environ, "PYTHONPATH": path},
+        capture_output=True, text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout.splitlines()[-1])
+
 
 class TestColdStart:
     def test_lattice_commands_run_without_scipy(self, tmp_path):
-        # a fresh interpreter, so that no other test's import can hide one of these
-        src = str(Path(ambival.cli.__file__).parents[1])
-        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-        proc = subprocess.run(
-            [sys.executable, "-c", COLD_START, str(tmp_path)],
-            cwd=tmp_path, env={**os.environ, "PYTHONPATH": path},
-            capture_output=True, text=True,
-        )
-        assert proc.returncode == 0, proc.stderr
-        assert json.loads(proc.stdout.splitlines()[-1]) == []
+        assert loaded_modules(COLD_START, tmp_path) == []
+
+    def test_gaussian_commands_run_without_scipy_stats(self, tmp_path):
+        assert loaded_modules(GAUSSIAN_COLD_START, tmp_path) == []

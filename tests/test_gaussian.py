@@ -1,6 +1,7 @@
 """Two-period Gaussian chain-ladder study: closed forms, searches, table and figure."""
 
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -10,6 +11,7 @@ from scipy.stats import norm
 
 from ambival.errors import ValidationError
 from ambival.gaussian import (
+    _CLOUD_BLOCK,
     CASE1,
     CaseConfig,
     CloudResult,
@@ -17,6 +19,7 @@ from ambival.gaussian import (
     GaussianStepFamily,
     Table1Result,
     _boundary_search,
+    _estimators,
     case1_bounds,
     case1_upper,
     case2_upper,
@@ -36,7 +39,7 @@ from ambival.gaussian import (
 )
 from ambival.priors import density_process, point_region, project_region
 from ambival.riskmeasures import AVAR, VAR, RiskMeasureSpec, apply_empirical, gaussian_c
-from ambival.scenario import AdaptedProcess
+from ambival.scenario import AdaptedProcess, substream
 from ambival.valuation import CashFlowSpec, value_multiprior
 
 
@@ -136,6 +139,55 @@ class TestTrianglesAndEstimators:
         region = region_for(cloud, 0.9)
         assert abs(region.radius2 - 7.779440339734858) < 1e-12
         assert region.membership(cloud.mu)
+
+
+def one_shot_triangles(model, n_years, n_rep, seed):
+    """All ``n_rep`` triangles drawn at once, each column from its own substream."""
+    v = model.exposures[:n_years]
+    e1 = substream(seed, 0).standard_normal((n_rep, n_years))
+    e2 = substream(seed, 1).standard_normal((n_rep, n_years - 1))
+    c1 = model.beta0 + model.sigma0 / np.sqrt(v) * e1
+    c2 = model.beta1 * c1[:, : n_years - 1] + model.sigma1 / np.sqrt(v[: n_years - 1]) * e2
+    return c1, c2
+
+
+class TestCloudBlocks:
+    """The cloud is simulated and fitted in blocks; nothing depends on the block size."""
+
+    @pytest.mark.parametrize("seed", [0, 7])
+    @pytest.mark.parametrize(
+        "n_rep",
+        [100, _CLOUD_BLOCK - 1, _CLOUD_BLOCK, _CLOUD_BLOCK + 1, 3 * _CLOUD_BLOCK + 17],
+        ids=["100", "B-1", "B", "B+1", "3B+17"],
+    )
+    def test_cloud_equals_one_shot_fit(self, n_rep, seed):
+        m = paper_model()
+        n_years = -m.i0
+        c1, c2 = one_shot_triangles(m, n_years, n_rep, seed)
+        b0, s0sq, b1, s1sq = _estimators(c1, c2, m.exposures[:n_years])
+        cloud = np.column_stack([b0, np.sqrt(s0sq), b1, np.sqrt(s1sq)])
+        result = estimator_cloud(m, n_rep, seed)
+        np.testing.assert_array_equal(result.cloud, cloud)
+        np.testing.assert_array_equal(result.mu, cloud.mean(axis=0))
+        np.testing.assert_array_equal(result.sigma, np.cov(cloud, rowvar=False, ddof=1))
+
+    @pytest.mark.parametrize("n_years", [3, 10, 11])
+    def test_triangle_is_the_first_one_shot_row(self, n_years):
+        m = paper_model()
+        c1, c2 = simulate_triangle(m, n_years, seed=5)
+        one1, one2 = one_shot_triangles(m, n_years, 4, seed=5)
+        np.testing.assert_array_equal(c1, one1[0])
+        np.testing.assert_array_equal(c2, one2[0])
+
+    def test_traced_peak_is_a_small_multiple_of_the_cloud(self):
+        estimator_cloud(paper_model(), 100, 0)  # scipy.linalg imported before tracing
+        tracemalloc.start()
+        try:
+            result = estimator_cloud(paper_model(), 10**6, 0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 3 * result.cloud.nbytes
 
 
 class TestClosedForms:

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 from hypothesis import given, settings
+from scipy.stats import chi2, norm, qmc
 
 from ambival.errors import ValidationError
 from ambival.priors import (
@@ -346,3 +347,43 @@ class TestRegions:
         region = point_region(np.array([1.0, 2.0]))
         assert len(boundary_grid(region, 10).points) == 1
         assert len(interior_grid(region, 10)) == 1
+
+
+def correlated_region(k):
+    """A ``k``-dim region with unequal scales and correlations."""
+    a = np.tril(np.full((k, k), 0.3)) + np.diag(np.arange(1.0, k + 1))
+    return ellipsoid_region(np.arange(1.0, k + 1), a @ a.T, 0.9, k)
+
+
+def scipy_stats_directions(u):
+    z = norm.ppf(np.clip(u, 1e-12, 1.0 - 1e-12))
+    return z / np.linalg.norm(z, axis=1, keepdims=True)
+
+
+class TestScipySpecialEqualsScipyStats:
+    """The regions use scipy.special and a radical inverse; the points are
+    those of scipy.stats' chi-square quantile, normal quantile and unscrambled
+    Halton sequence, bit for bit."""
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 4])
+    def test_radius_is_the_chi_square_quantile(self, k):
+        for p in (0.1, 0.5, 0.8, 0.9, 0.95, 0.99):
+            assert ellipsoid_region(np.zeros(k), np.eye(k), p, k).radius2 == chi2.ppf(p, k)
+
+    @pytest.mark.parametrize("m", [64, 360, 512, 4096])
+    @pytest.mark.parametrize("k", [3, 4, 5])
+    def test_boundary_grid(self, k, m):
+        region = correlated_region(k)
+        s = scipy_stats_directions(qmc.Halton(d=k, scramble=False).random(m + 1)[1:])
+        expected = region.center + np.sqrt(region.radius2) * (s @ region.chol.T)
+        np.testing.assert_array_equal(boundary_grid(region, m).points, expected)
+
+    @pytest.mark.parametrize("m", [64, 360, 512, 4096])
+    @pytest.mark.parametrize("k", [3, 4, 5])
+    def test_interior_grid(self, k, m):
+        region = correlated_region(k)
+        u = qmc.Halton(d=k + 1, scramble=False).random(m + 1)[1:]
+        s = scipy_stats_directions(u[:, :k])
+        r = np.sqrt(region.radius2) * u[:, k] ** (1.0 / k)
+        expected = np.vstack([region.center, region.center + (r[:, None] * s) @ region.chol.T])
+        np.testing.assert_array_equal(interior_grid(region, m), expected)

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from scipy.stats import norm
 
 from ambival.errors import ValidationError
 from ambival.riskmeasures import (
@@ -148,6 +149,12 @@ class TestHandValues:
         assert abs(gaussian_c(RiskMeasureSpec(VAR, 0.01)) - 2.3263478740408408) < 1e-12
         assert abs(gaussian_c(RiskMeasureSpec(AVAR, 0.05)) - 2.0627128075074275) < 1e-12
         assert abs(gaussian_c(RiskMeasureSpec(AVAR, 0.5)) - 0.7978845608028654) < 1e-12
+
+    @pytest.mark.parametrize("q", [0.5, 0.25, 0.1, 0.05, 0.01, 0.005, 1e-4])
+    def test_gaussian_constants_equal_scipy_stats(self, q):
+        z = norm.ppf(1.0 - q)
+        assert gaussian_c(RiskMeasureSpec(VAR, q)) == float(z)
+        assert gaussian_c(RiskMeasureSpec(AVAR, q)) == float(norm.pdf(z) / q)
 
     def test_gaussian_constants_match_monte_carlo(self):
         z = np.random.default_rng(1).standard_normal(10**6)
