@@ -3,11 +3,11 @@
 A run is described by a small key-value config file (``key = value`` per
 line, ``#`` comments) plus flag overrides; flags win.  Commands:
 
-* ``validate``   -- config and engine self-checks on small random lattices
+* ``oracle-check`` -- recursion vs brute-force enumeration on random trees,
+  plus the supermartingale step margins (the default command)
 * ``table1``     -- full bound table over the (case, p, q) grid, CSV output
 * ``figure1``    -- estimator scatter and region-boundary CSVs
 * ``value``      -- one (case, p, q) bound computation
-* ``oracle-check`` -- recursion vs brute-force enumeration on random trees
 
 Each command reads only the keys that :data:`COMMAND_KEYS` gives it (plus
 ``command`` and ``out``).  A key set explicitly -- in the config file, by
@@ -34,7 +34,6 @@ from .errors import NumericalError, ValidationError
 from .gaussian import (
     CASE1,
     CASE2,
-    CASE_MINIMUMS,
     CaseConfig,
     GaussianModel,
     case1_bounds,
@@ -50,30 +49,24 @@ from .riskmeasures import AVAR, VAR, RiskMeasureSpec
 
 logger = logging.getLogger(__name__)
 
-COMMANDS = ("validate", "table1", "figure1", "value", "oracle-check")
+COMMANDS = ("oracle-check", "table1", "figure1", "value")
 
 _MODEL_KEYS = ("beta0", "sigma0", "beta1", "sigma1", "i0")
 
 # The RunConfig keys each command reads besides ``command`` and ``out``.
 COMMAND_KEYS: Dict[str, FrozenSet[str]] = {
-    "validate": frozenset({"seed", "kind", "q", *_MODEL_KEYS}),
     "oracle-check": frozenset({"seed"}),
-    "figure1": frozenset({"seed", "m", *_MODEL_KEYS}),
-    "table1": frozenset(
-        {"seed", "n", "kind", "m", "knots", "threads", "cloud_n_rep", *_MODEL_KEYS}
-    ),
+    "figure1": frozenset({"seed", *_MODEL_KEYS}),
+    "table1": frozenset({"seed", "n", "kind", "threads", "cloud_n_rep", *_MODEL_KEYS}),
     "value": frozenset(
         {"seed", "n", "p", "q", "case", "kind", "threads", "cloud_n_rep", *_MODEL_KEYS}
     ),
 }
-CASE2_KEYS = frozenset({"m", "knots"})  # the h table: read by ``value`` only for case 2
-# the CaseConfig field behind each bounded key; checked here so that a message names the key
-_CASE_FIELDS = {"threads": "threads", "knots": "knots", "m": "m_boundary"}
 
 
 @dataclass
 class RunConfig:
-    command: str = "validate"
+    command: str = "oracle-check"
     seed: int = 0
     n: int = 10**5
     p: float = 0.5
@@ -82,8 +75,6 @@ class RunConfig:
     kind: str = VAR
     out: str = "."
     threads: int = 1
-    m: int = 360
-    knots: int = 64
     cloud_n_rep: int = 10**5
     beta0: float = 2.0 / 3.0
     sigma0: float = 0.2
@@ -103,18 +94,10 @@ class RunConfig:
             raise ValidationError("case must be 1 or 2")
         if self.kind not in (VAR, AVAR):
             raise ValidationError(f"risk measure kind must be {VAR} or {AVAR}")
-        reads = self.reads()
-        for key, name in _CASE_FIELDS.items():
-            low = CASE_MINIMUMS[name]
-            if key in reads and getattr(self, key) < low:
-                raise ValidationError(f"{key} must be at least {low}")
 
     def reads(self) -> FrozenSet[str]:
         """The keys this run's command reads."""
-        keys = COMMAND_KEYS[self.command] | {"command", "out"}
-        if self.command == "value" and self.case == 2:
-            keys |= CASE2_KEYS
-        return keys
+        return COMMAND_KEYS[self.command] | {"command", "out"}
 
     def model(self) -> GaussianModel:
         return GaussianModel(
@@ -171,9 +154,8 @@ def parse_config(
     cfg = RunConfig(**values)
     unread = values.keys() - cfg.reads()
     if unread:
-        scope = f" with case {cfg.case}" if cfg.command == "value" else ""
         names = ", ".join(repr(key) for key in _DEFAULTS if key in unread)
-        raise ValidationError(f"command {cfg.command!r}{scope} does not read {names}")
+        raise ValidationError(f"command {cfg.command!r} does not read {names}")
     return cfg
 
 
@@ -195,10 +177,8 @@ def _write_manifest(out_dir: Path, cfg: RunConfig, **matrices: np.ndarray) -> No
 
 def _case_config(cfg: RunConfig) -> CaseConfig:
     """The run's bound-computation knobs, checked before any work is done."""
-    return CaseConfig(
-        rm=RiskMeasureSpec(cfg.kind, cfg.q), n=cfg.n, seed=cfg.seed, m_boundary=cfg.m,
-        knots=cfg.knots, threads=cfg.threads,
-    )
+    rm = RiskMeasureSpec(cfg.kind, cfg.q)
+    return CaseConfig(rm=rm, n=cfg.n, seed=cfg.seed, threads=cfg.threads)
 
 
 def _cmd_table1(cfg: RunConfig, out_dir: Path) -> None:
@@ -214,7 +194,7 @@ def _cmd_table1(cfg: RunConfig, out_dir: Path) -> None:
 
 
 def _cmd_figure1(cfg: RunConfig, out_dir: Path) -> None:
-    data = figure1_data(model=cfg.model(), n_rep=1000, seed=cfg.seed, m_boundary=cfg.m)
+    data = figure1_data(model=cfg.model(), seed=cfg.seed)
     files = figure1_csv(data)
     for name, text in files.items():
         _write(out_dir, name, text)
@@ -244,14 +224,16 @@ def _cmd_value(cfg: RunConfig, out_dir: Path) -> None:
 def _cmd_oracle_check(cfg: RunConfig, out_dir: Path) -> None:
     from .oracle import random_suite, snell_bruteforce
     from .scenario import AdaptedProcess
-    from .valuation import CashFlowSpec, value_multiprior
+    from .valuation import CashFlowSpec, supermartingale_diagnostic, value_multiprior
 
     n_instances = 200
     worst = 0.0
+    violated = 0
     for i, (lattice, payload, family, grid) in enumerate(random_suite(cfg.seed, n_instances)):
         cf = CashFlowSpec(liability=AdaptedProcess(name="X", values=payload))
         rm = RiskMeasureSpec(AVAR if i % 2 else VAR, 0.1)
         out = value_multiprior(cf, rm, family, grid, lattice)
+        # validates the density process of every grid point on the way
         res = snell_bruteforce(lattice, family, grid, out.R, payload, cap=2 * 10**6)
         worst = max(
             worst,
@@ -259,36 +241,17 @@ def _cmd_oracle_check(cfg: RunConfig, out_dir: Path) -> None:
             abs(res.inf_sup - out.c0),
             abs(res.envelope - out.c0),
         )
+        # reported, not raised (see SupermartingaleReport)
+        violated += len(supermartingale_diagnostic(out, cf, lattice).violations)
     if worst > 1e-12:
         raise NumericalError(f"recursion vs oracle mismatch: max deviation {worst:.3e}")
     report = (
         f"oracle-check: seed {cfg.seed}, {n_instances} lattices, "
-        f"max |engine - oracle| = {worst:.3e}\n"
+        f"max |engine - oracle| = {worst:.3e}, {violated} violated step margins\n"
     )
     _write(out_dir, "oracle_check.txt", report)
     _write_manifest(out_dir, cfg)
     print(report, end="")
-
-
-def _cmd_validate(cfg: RunConfig, out_dir: Path) -> None:
-    from .oracle import random_suite
-    from .priors import density_process
-    from .scenario import AdaptedProcess
-    from .valuation import CashFlowSpec, supermartingale_diagnostic, value_multiprior
-
-    cfg.model()  # validates model parameters
-    checks = violated = 0
-    for lattice, payload, family, grid in random_suite(cfg.seed, 8):
-        cf = CashFlowSpec(liability=AdaptedProcess(name="X", values=payload))
-        out = value_multiprior(cf, RiskMeasureSpec(cfg.kind, cfg.q), family, grid, lattice)
-        for theta in grid:
-            density_process(family, theta, lattice)  # validated on construction
-        # reported, not raised (see SupermartingaleReport)
-        violated += len(supermartingale_diagnostic(out, cf, lattice).violations)
-        checks += 1
-    _write_manifest(out_dir, cfg)
-    report = f"{checks} lattice self-checks passed, {violated} violated step margins"
-    print(f"validate: config ok, {report}")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -331,7 +294,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         cfg = parse_config(args.config, overrides)
         out_dir = Path(cfg.out)
         dispatch = {
-            "validate": _cmd_validate,
             "table1": _cmd_table1,
             "figure1": _cmd_figure1,
             "value": _cmd_value,

@@ -47,8 +47,9 @@ CASE2 = "CASE2"
 
 _SIGMA_FLOOR = 1e-12
 _M_SEARCH = 512  # coarse full-dimensional boundary grid of the worst-case searches
+_M_BOUNDARY = 360  # points on each 2-dim projected boundary: the h table and figure 1
+_KNOTS = 64  # C_{0,1} knots of the h table
 _CLOUD_BLOCK = 8192  # triangles simulated and fitted at once by estimator_cloud
-CASE_MINIMUMS = {"threads": 1, "knots": 16, "m_boundary": 2}  # least value of each CaseConfig field
 
 # coordinate layout of theta vectors
 _B0, _S0, _B1, _S1 = 0, 1, 2, 3
@@ -77,6 +78,10 @@ class GaussianModel:
     c_m11: Optional[float] = None
 
     def __post_init__(self) -> None:
+        for name in ("beta0", "sigma0", "beta1", "sigma1", "c_m11"):
+            value = getattr(self, name)
+            if value is not None and not math.isfinite(value):
+                raise ValidationError(f"{name} must be finite, got {value!r}")
         if self.sigma0 < 0.0 or self.sigma1 < 0.0:
             raise ValidationError("volatilities must be nonnegative")
         self.sigma0 = max(float(self.sigma0), _SIGMA_FLOOR)
@@ -87,8 +92,10 @@ class GaussianModel:
         if self.exposures is None:
             self.exposures = np.ones(n_years)
         self.exposures = np.asarray(self.exposures, dtype=np.float64)
-        if self.exposures.shape != (n_years,) or np.any(self.exposures <= 0.0):
-            raise ValidationError("need one positive exposure per accident year")
+        if self.exposures.shape != (n_years,) or not np.all(
+            np.isfinite(self.exposures) & (self.exposures > 0.0)
+        ):
+            raise ValidationError("need one finite positive exposure per accident year")
         if self.c_m11 is None:
             self.c_m11 = self.beta0
 
@@ -117,16 +124,13 @@ class CaseConfig:
     rm: RiskMeasureSpec
     n: int = 10**5
     seed: int = 0
-    m_boundary: int = 360  # 2-dim projected boundaries
-    knots: int = 64
     threads: int = 1
 
     def __post_init__(self) -> None:
         if self.n < 10**3:
             raise ValidationError("statistical runs need n >= 1000")
-        for name, low in CASE_MINIMUMS.items():
-            if getattr(self, name) < low:
-                raise ValidationError(f"{name} must be at least {low}")
+        if self.threads < 1:
+            raise ValidationError("threads must be at least 1")
 
 
 # ---------------------------------------------------------------------------
@@ -567,24 +571,17 @@ class HFit:
         return np.interp(c01, self.knots, self.values)
 
 
-def fit_h(
-    model: GaussianModel,
-    proj: ParamRegion,
-    c: float,
-    m_boundary: int = 360,
-    knots: int = 64,
-) -> HFit:
+def fit_h(model: GaussianModel, proj: ParamRegion, c: float) -> HFit:
     """Tabulate the per-state optimum of the closed-form time-1 layer.
 
-    The knot grid spans +/- 6 conditional standard deviations of ``C_{0,1}``
-    around its base-measure mean; at each knot the deficit-option value is
-    minimized over the boundary grid of the ``(beta1, sigma1)`` projection.
+    ``_KNOTS`` knots span +/- 6 conditional standard deviations of
+    ``C_{0,1}`` around its base-measure mean; at each knot the deficit-option
+    value is minimized over the ``_M_BOUNDARY``-point boundary grid of the
+    ``(beta1, sigma1)`` projection.
     """
-    if knots < CASE_MINIMUMS["knots"]:
-        raise ValidationError(f"h-fit needs at least {CASE_MINIMUMS['knots']} knots")
     sd = model.sigma0 / math.sqrt(model.v0)
-    xs = np.linspace(model.beta0 - 6.0 * sd, model.beta0 + 6.0 * sd, knots)
-    grid = boundary_grid(proj, m_boundary, positive=(1,)).points  # (m, 2)
+    xs = np.linspace(model.beta0 - 6.0 * sd, model.beta0 + 6.0 * sd, _KNOTS)
+    grid = boundary_grid(proj, _M_BOUNDARY, positive=(1,)).points  # (m, 2)
     table = closed_form_g(grid[:, None, :], xs[None, :], model, c)  # (m, knots)
     return HFit(knots=xs, values=table.min(axis=0))
 
@@ -638,7 +635,7 @@ def case2_value(
     c = gaussian_c(cfg.rm)
     base = _p_sample(model, cfg.n, cfg.seed, c)
     proj = project_region(region, [_B1, _S1])
-    h = fit_h(model, proj, c, m_boundary=cfg.m_boundary, knots=cfg.knots)
+    h = fit_h(model, proj, c)
     r0 = float(apply_empirical(cfg.rm, -(base.y - h(base.c01))))
 
     def deficit(theta: np.ndarray) -> float:
@@ -658,6 +655,7 @@ def case2_value(
 TABLE1_P = (0.1, 0.5, 0.9)
 TABLE1_Q = (0.10, 0.05, 0.01, 0.005)
 FIGURE1_P = (0.1, 0.9)
+FIGURE1_N_REP = 1000  # estimator replications in each scatter
 
 
 @dataclass
@@ -711,17 +709,12 @@ def table1_csv(result: Table1Result) -> str:
 
 @dataclass
 class Figure1Data:
-    scatter: Dict[str, np.ndarray]  # file stem -> (n_rep, 2) coordinate pairs
+    scatter: Dict[str, np.ndarray]  # file stem -> (FIGURE1_N_REP, 2) coordinate pairs
     ellipses: Dict[str, List[Tuple[str, np.ndarray]]]  # stem -> [(plane, polyline)]
     cloud: CloudResult
 
 
-def figure1_data(
-    model: Optional[GaussianModel] = None,
-    n_rep: int = 1000,
-    seed: int = 0,
-    m_boundary: int = 360,
-) -> Figure1Data:
+def figure1_data(model: Optional[GaussianModel] = None, seed: int = 0) -> Figure1Data:
     """Scatter clouds of the parameter estimates with region boundaries.
 
     One scatter per coordinate plane ``(beta0, beta1)`` and
@@ -729,7 +722,7 @@ def figure1_data(
     polyline for each projected ellipse boundary.
     """
     model = model if model is not None else paper_model()
-    cloud = estimator_cloud(model, n_rep, seed)
+    cloud = estimator_cloud(model, FIGURE1_N_REP, seed)
     scatter = {
         "figure1_scatter_beta0_beta1": cloud.cloud[:, [_B0, _B1]],
         "figure1_scatter_beta1_sigma1": cloud.cloud[:, [_B1, _S1]],
@@ -740,7 +733,7 @@ def figure1_data(
         polylines = []
         for plane, coords in (("beta0_beta1", [_B0, _B1]), ("beta1_sigma1", [_B1, _S1])):
             proj = project_region(region, coords)
-            pts = boundary_grid(proj, m_boundary).points
+            pts = boundary_grid(proj, _M_BOUNDARY).points
             pts = np.vstack([pts, pts[:1]])  # close the polyline
             polylines.append((plane, pts))
         ellipses[f"figure1_ellipse_p{p}"] = polylines

@@ -40,27 +40,27 @@ class DensityFamily:
     """One-step density factors ``f_t(theta)``.
 
     Lattice families implement :meth:`factors`.  ``factors(t, theta)``
-    returns one factor per time-``t`` lattice node.  ``factors(t, theta,
-    block)``, with a :class:`~ambival.scenario.LevelBlock` of level ``t - 1``,
-    returns the factors of the block's children only, in level order; they
-    equal the matching slice of the whole-level factors bit for bit.
+    returns one factor per time-``t`` lattice node.
 
-    :meth:`weights` takes the same arguments and returns positive weights
-    ``w``: the factors times any positive constant per time-``t - 1`` node,
-    so that ``f = w / E_{t-1}[w]``.  The worst-case expectation needs only
-    these, as
-    ``E_{t-1}[f v] = E_{t-1}[w v] / E_{t-1}[w]``.  A block's weights must
-    equal the matching slice of the whole-level weights bit for bit.  The
-    default returns the factors themselves.
+    :meth:`weights` returns positive weights ``w``: the factors times any
+    positive constant per time-``t - 1`` node, so that ``f = w /
+    E_{t-1}[w]``.  The worst-case expectation needs only these, as
+    ``E_{t-1}[f v] = E_{t-1}[w v] / E_{t-1}[w]``.  Only :meth:`weights`
+    takes a block: ``weights(t, theta, block)``, with a
+    :class:`~ambival.scenario.LevelBlock` of level ``t - 1``, returns the
+    weights of the block's children only, in level order, equal to the
+    matching slice of the whole-level weights bit for bit.  The default
+    slices the whole-level factors.
     """
 
     region: Optional["ParamRegion"] = None
 
-    def factors(self, t: int, theta: Any, block: Optional[LevelBlock] = None) -> np.ndarray:
+    def factors(self, t: int, theta: Any) -> np.ndarray:
         raise ValidationError(f"{type(self).__name__} has no lattice factors")
 
     def weights(self, t: int, theta: Any, block: Optional[LevelBlock] = None) -> np.ndarray:
-        return self.factors(t, theta, block)
+        f = self.factors(t, theta)
+        return f if block is None else f[block.children]
 
 
 class ExponentialTiltFamily(DensityFamily):
@@ -102,15 +102,11 @@ class ExponentialTiltFamily(DensityFamily):
         scores = self.scores[t] if block is None else self.scores[t][block.children]
         return np.exp(float(theta.reshape(-1)[0]) * scores)
 
-    def factors(self, t: int, theta: Any, block: Optional[LevelBlock] = None) -> np.ndarray:
+    def factors(self, t: int, theta: Any) -> np.ndarray:
         lat = self.lattice
-        raw = self.weights(t, theta, block)
-        probs, parent_of = lat.probs[t], lat.parents[t]
-        if block is not None:  # derived per call: the engine reads only the weights
-            probs = probs[block.children]
-            parent_of = parent_of[block.children] - block.nodes.start
-        z = lat.cond_sum(t - 1, probs * raw, block)
-        return raw / z[parent_of]
+        raw = self.weights(t, theta)
+        z = lat.cond_sum(t - 1, lat.probs[t] * raw)
+        return raw / z[lat.parents[t]]
 
 
 # ---------------------------------------------------------------------------
@@ -243,7 +239,7 @@ def paste(d1: DensityProcess, d2: DensityProcess, tau: StoppingTime) -> DensityP
     lat = d1.lattice
     if d2.lattice is not lat or tau.lattice is not lat:
         raise ValidationError("paste requires both processes and tau on one lattice")
-    if tau.max_value() > lat.horizon:
+    if not np.all(tau.stopped_by[lat.horizon]):
         raise ValidationError("pasting requires a stopping time bounded by the horizon")
     factors = [
         # {s > tau} is known at s - 1

@@ -350,9 +350,6 @@ class StoppingTime:
             stopped |= hit
         return out
 
-    def max_value(self) -> int:
-        return int(self.value_at_leaves().max())
-
 
 # ---------------------------------------------------------------------------
 # path samples

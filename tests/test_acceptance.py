@@ -309,7 +309,7 @@ def test_criterion_7_degenerate_collapse():
 
 
 def test_criterion_8_figure1_coverage():
-    data = figure1_data(n_rep=1000, seed=0)
+    data = figure1_data(seed=0)
     rows_ok = all(pts.shape == (1000, 2) for pts in data.scatter.values())
     coverage_ok = True
     details = []
@@ -329,7 +329,7 @@ def test_criterion_8_figure1_coverage():
 def test_criterion_9_determinism(tmp_path):
     args = [
         "--command", "value", "--case", "2", "--p", "0.5", "--q", "0.05",
-        "--n", "2000", "--set", "cloud_n_rep=2000", "--set", "m=64",
+        "--n", "2000", "--set", "cloud_n_rep=2000",
     ]
     out1, out2 = tmp_path / "a", tmp_path / "b"
     assert main(args + ["--out", str(out1)]) == 0

@@ -2,6 +2,7 @@
 
 import json
 import os
+import re
 import subprocess
 import sys
 from dataclasses import fields
@@ -13,15 +14,15 @@ import pytest
 import ambival.cli
 import ambival.gaussian
 import ambival.valuation
-from ambival.cli import CASE2_KEYS, COMMAND_KEYS, COMMANDS, RunConfig, main, parse_config
+from ambival.cli import COMMAND_KEYS, COMMANDS, RunConfig, main, parse_config
 from ambival.errors import ValidationError
 
 FIELDS = [f.name for f in fields(RunConfig)]
+README = Path(__file__).parents[1] / "README.md"
 
 # a cheap run of each command, and the config it runs with
 SMALL = ["--n", "2000", "--set", "cloud_n_rep=2000"]
 MANIFEST_RUNS = {
-    "validate": (["--command", "validate"], RunConfig(command="validate")),
     "oracle-check": (["--command", "oracle-check"], RunConfig(command="oracle-check")),
     "figure1": (["--command", "figure1"], RunConfig(command="figure1")),
     "table1": (["--command", "table1"] + SMALL, RunConfig(command="table1")),
@@ -41,9 +42,9 @@ def manifest_keys(path):
 class TestConfigFile:
     def test_defaults(self):
         cfg = parse_config(None, {})
-        assert cfg.command == "validate"
+        assert cfg.command == "oracle-check"
         assert cfg.seed == 0 and cfg.n == 10**5
-        assert cfg.kind == "VAR" and cfg.knots == 64
+        assert cfg.kind == "VAR" and cfg.threads == 1
 
     def test_file_with_comments(self, tmp_path):
         path = tmp_path / "run.cfg"
@@ -60,7 +61,7 @@ class TestConfigFile:
 
     def test_flags_override_file(self, tmp_path):
         path = tmp_path / "run.cfg"
-        path.write_text("seed = 3\nq = 0.01\n")
+        path.write_text("command = value\nseed = 3\nq = 0.01\n")
         cfg = parse_config(str(path), {"seed": 9})
         assert cfg.seed == 9 and cfg.q == 0.01
 
@@ -98,14 +99,18 @@ class TestConfigFile:
 
 
 class TestMain:
-    def test_validate_succeeds(self, tmp_path, capsys):
-        assert main(["--command", "validate", "--out", str(tmp_path)]) == 0
+    def test_oracle_check_is_the_default_command(self, tmp_path, capsys):
+        assert main(["--out", str(tmp_path)]) == 0
         assert (tmp_path / "manifest.txt").exists()
-        assert capsys.readouterr().out == (
-            "validate: config ok, 8 lattice self-checks passed, 0 violated step margins\n"
+        out = capsys.readouterr().out
+        assert out == (tmp_path / "oracle_check.txt").read_text()
+        assert re.fullmatch(
+            r"oracle-check: seed 0, 200 lattices, max \|engine - oracle\| = \S+, "
+            r"\d+ violated step margins\n",
+            out,
         )
 
-    def test_validate_reports_violated_step_margins(self, tmp_path, capsys, monkeypatch):
+    def test_oracle_check_reports_violated_step_margins(self, tmp_path, capsys, monkeypatch):
         diagnostic = ambival.valuation.supermartingale_diagnostic
 
         def one_violation(*args):
@@ -114,16 +119,16 @@ class TestMain:
             return report
 
         monkeypatch.setattr(ambival.valuation, "supermartingale_diagnostic", one_violation)
-        assert main(["--command", "validate", "--out", str(tmp_path)]) == 0
-        assert "8 violated step margins" in capsys.readouterr().out
+        assert main(["--command", "oracle-check", "--out", str(tmp_path)]) == 0
+        assert capsys.readouterr().out.endswith(", 200 violated step margins\n")
 
     def test_removed_time1_rule_key_is_unknown(self, tmp_path, capsys):
-        rc = main(["--command", "validate", "--set", "c1_rule=SUP", "--out", str(tmp_path)])
+        rc = main(["--command", "oracle-check", "--set", "c1_rule=SUP", "--out", str(tmp_path)])
         assert rc == 1
         assert "unknown key 'c1_rule'" in capsys.readouterr().err
 
     def test_validation_error_exit_code(self, tmp_path, capsys):
-        rc = main(["--command", "validate", "--q", "1.5", "--out", str(tmp_path)])
+        rc = main(["--command", "oracle-check", "--q", "1.5", "--out", str(tmp_path)])
         assert rc == 1
         assert "error" in capsys.readouterr().err
 
@@ -132,7 +137,7 @@ class TestMain:
 
     def test_env_var_output_dir(self, tmp_path, monkeypatch):
         monkeypatch.setenv("AMBIVAL_OUT", str(tmp_path / "envout"))
-        assert main(["--command", "validate"]) == 0
+        assert main(["--command", "oracle-check"]) == 0
         assert (tmp_path / "envout" / "manifest.txt").exists()
 
     def test_oracle_check_writes_report(self, tmp_path):
@@ -159,9 +164,9 @@ class TestMain:
         assert lower <= upper
         assert (tmp_path / "manifest.txt").exists()
 
-    @pytest.mark.parametrize("bad", ["knots=15", "m=1", "threads=0"])
+    @pytest.mark.parametrize("bad", ["threads=0"])
     def test_value_rejects_out_of_range_grid_keys(self, tmp_path, capsys, monkeypatch, bad):
-        # checked when the config is parsed, before the estimator cloud
+        # checked when the CaseConfig is built, before the estimator cloud
         monkeypatch.setattr(ambival.cli, "estimator_cloud", None)
         rc = main(
             [
@@ -174,13 +179,27 @@ class TestMain:
         assert not (tmp_path / "manifest.txt").exists()
 
     @pytest.mark.parametrize(
-        "argv", [["--command", "value", "--case", "2"] + SMALL, ["--command", "figure1"]]
+        "argv", [["--command", "value", "--case", "2"] + SMALL, ["--command", "table1"]]
     )
     def test_a_bound_names_the_cli_key(self, tmp_path, capsys, argv):
-        assert main(argv + ["--out", str(tmp_path), "--set", "m=1"]) == 1
-        assert capsys.readouterr().err == "error: m must be at least 2\n"
+        assert main(argv + ["--out", str(tmp_path), "--threads", "0"]) == 1
+        assert capsys.readouterr().err == "error: threads must be at least 1\n"
 
-    @pytest.mark.parametrize("bad", ["knots=15", "m=1", "threads=0"])
+    @pytest.mark.parametrize(
+        "argv, bad",
+        [
+            (["--command", "figure1"], "sigma0=nan"),
+            (["--command", "value"] + SMALL, "beta1=nan"),
+            (["--command", "table1"] + SMALL, "beta0=inf"),
+        ],
+        ids=["figure1-sigma0=nan", "value-beta1=nan", "table1-beta0=inf"],
+    )
+    def test_non_finite_model_key_exits_1(self, tmp_path, capsys, argv, bad):
+        assert main(argv + ["--out", str(tmp_path), "--set", bad]) == 1
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not (tmp_path / "manifest.txt").exists()
+
+    @pytest.mark.parametrize("bad", ["threads=0"])
     def test_table1_rejects_out_of_range_keys_before_any_work(
         self, tmp_path, capsys, monkeypatch, bad
     ):
@@ -189,27 +208,6 @@ class TestMain:
         assert rc == 1
         assert "at least" in capsys.readouterr().err
         assert not tmp_path.joinpath("manifest.txt").exists()
-
-    def test_table1_passes_m_and_knots_to_the_h_table(self, tmp_path, monkeypatch):
-        seen = []
-        fit_h = ambival.gaussian.fit_h
-
-        def recording_fit_h(*args, **kwargs):
-            seen.append((kwargs["m_boundary"], kwargs["knots"]))
-            return fit_h(*args, **kwargs)
-
-        monkeypatch.setattr(ambival.gaussian, "fit_h", recording_fit_h)
-        rc = main(
-            [
-                "--command", "table1", "--n", "1000", "--out", str(tmp_path),
-                "--set", "cloud_n_rep=2000", "--set", "knots=16", "--set", "m=64",
-            ]
-        )
-        assert rc == 0
-        assert len(seen) == 12  # one h table per case-2 cell
-        assert set(seen) == {(64, 16)}
-        manifest = (tmp_path / "manifest.txt").read_text()
-        assert "m = 64\n" in manifest and "knots = 16\n" in manifest
 
     def test_figure1_outputs(self, tmp_path):
         rc = main(["--command", "figure1", "--out", str(tmp_path), "--seed", "2"])
@@ -234,8 +232,20 @@ class TestMain:
 class TestKeyTable:
     def test_table_names_every_field_and_nothing_else(self):
         assert set(COMMAND_KEYS) == set(COMMANDS)
-        named = set().union(*COMMAND_KEYS.values()) | CASE2_KEYS | {"command", "out"}
+        named = set().union(*COMMAND_KEYS.values()) | {"command", "out"}
         assert named == set(FIELDS)
+
+    def test_readme_key_table_matches(self):
+        # README's "keys it reads" table, with "model keys" spelled out as README defines them
+        text = README.read_text()
+        model = re.findall(r"`(\w+)`", re.search(r"model\s+keys\s+are (.*?):", text, re.S)[1])
+        rows = re.findall(r"^\| `([\w-]+)` +\|(.*)\|$", text.split("keys it reads", 1)[1], re.M)
+        table = {
+            command: frozenset(re.findall(r"`(\w+)`", keys) + model * ("model keys" in keys))
+            for command, keys in rows
+        }
+        assert sorted(command for command, _ in rows) == sorted(COMMANDS)
+        assert table == COMMAND_KEYS
 
     @pytest.mark.parametrize("key", FIELDS)
     @pytest.mark.parametrize("command", COMMANDS)
@@ -251,12 +261,6 @@ class TestKeyTable:
         err = capsys.readouterr().err
         assert f"command {command!r}" in err and f"does not read {key!r}" in err
         assert not out.exists()
-
-    @pytest.mark.parametrize("key", sorted(CASE2_KEYS))
-    def test_value_reads_the_h_table_keys_only_for_case_2(self, key):
-        assert getattr(parse_config(None, {"command": "value", "case": 2, key: "64"}), key) == 64
-        with pytest.raises(ValidationError, match=f"'value' with case 1 does not read {key!r}"):
-            parse_config(None, {"command": "value", key: "64"})
 
     @pytest.mark.parametrize(
         "flag", [["--n", "2000"], ["--threads", "1"], ["--p", "0.5"], ["--case", "1"]]
@@ -288,13 +292,13 @@ class TestKeyTable:
         assert not any(key.startswith(("mu_", "sigma_")) for key in rows)
 
 
-# Imports every numpy-only module, runs the two lattice commands into argv[1] and
-# prints, last, the scipy modules the process has loaded.
+# Imports every numpy-only module, runs oracle-check, named and as the default
+# command, into argv[1] and prints, last, the scipy modules the process has loaded.
 COLD_START = """
 import json, sys
 import ambival.scenario, ambival.riskmeasures, ambival.priors, ambival.valuation
 import ambival.oracle, ambival.gaussian, ambival.cli
-for argv in (["--command", "oracle-check", "--seed", "1"], ["--command", "validate"]):
+for argv in (["--command", "oracle-check", "--seed", "1"], []):
     assert ambival.cli.main(argv + ["--out", sys.argv[1]]) == 0, argv
 print(json.dumps(sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))))
 """

@@ -71,6 +71,25 @@ class TestModel:
                 exposures=np.array([1.0, 1.0]),
             )
 
+    @pytest.mark.parametrize(
+        "bad, match",
+        [
+            ({"beta0": math.inf}, "beta0 must be finite"),
+            ({"sigma0": math.nan}, "sigma0 must be finite"),
+            ({"beta1": math.nan}, "beta1 must be finite"),
+            ({"sigma1": math.inf}, "sigma1 must be finite"),
+            ({"c_m11": -math.inf}, "c_m11 must be finite"),
+            ({"exposures": [1.0, math.nan, 1.0]}, "finite positive exposure"),
+            ({"exposures": [1.0, 1.0, math.inf]}, "finite positive exposure"),
+        ],
+        ids=["beta0=inf", "sigma0=nan", "beta1=nan", "sigma1=inf", "c_m11=-inf",
+             "exposure=nan", "exposure=inf"],
+    )
+    def test_rejects_non_finite_parameters(self, bad, match):
+        base = {"beta0": 1.0, "sigma0": 0.1, "beta1": 1.5, "sigma1": 0.2, "i0": -2}
+        with pytest.raises(ValidationError, match=match):
+            GaussianModel(**{**base, **bad})
+
 
 class TestTrianglesAndEstimators:
     def test_triangle_shapes_and_determinism(self):
@@ -365,8 +384,7 @@ class TestCaseBounds:
             CaseConfig(rm=RiskMeasureSpec(VAR, 0.05), n=10)
 
     @pytest.mark.parametrize(
-        "bad", [{"threads": 0}, {"threads": -3}, {"knots": 15}, {"m_boundary": 1}],
-        ids=["threads=0", "threads=-3", "knots=15", "m_boundary=1"],
+        "bad", [{"threads": 0}, {"threads": -3}], ids=["threads=0", "threads=-3"],
     )
     def test_config_checks_its_bounds(self, bad):
         (name,) = bad
@@ -379,7 +397,7 @@ class TestHFit:
         m = paper_model()
         c = gaussian_c(RiskMeasureSpec(VAR, 0.01))
         proj = point_region(np.array([m.beta1, m.sigma1]))
-        h = fit_h(m, proj, c, knots=32)
+        h = fit_h(m, proj, c)
         np.testing.assert_allclose(
             h(h.knots), closed_form_g(np.array([m.beta1, m.sigma1]), h.knots, m, c),
             atol=1e-12,
@@ -388,14 +406,9 @@ class TestHFit:
     def test_clamping_is_counted(self):
         m = paper_model()
         c = gaussian_c(RiskMeasureSpec(VAR, 0.05))
-        h = fit_h(m, point_region(np.array([m.beta1, m.sigma1])), c, knots=16)
+        h = fit_h(m, point_region(np.array([m.beta1, m.sigma1])), c)
         h(np.array([100.0, -100.0, m.beta0]))
         assert h.n_clamped == 2
-
-    def test_needs_enough_knots(self):
-        m = paper_model()
-        with pytest.raises(ValidationError, match="knots"):
-            fit_h(m, point_region(np.array([m.beta1, m.sigma1])), 1.0, knots=4)
 
 
 class TestTableAndFigure:
@@ -421,7 +434,7 @@ class TestTableAndFigure:
 
         monkeypatch.setattr(ambival.gaussian, "case1_bounds", record)
         monkeypatch.setattr(ambival.gaussian, "case2_value", record)
-        cfg = CaseConfig(rm=RiskMeasureSpec(AVAR, 0.5), n=2000, seed=3, knots=16)
+        cfg = CaseConfig(rm=RiskMeasureSpec(AVAR, 0.5), n=2000, seed=3)
         result = table1(cfg, cloud_n_rep=2000)
         levels = [0.10, 0.05, 0.01, 0.005]
         assert seen == [replace(cfg, rm=RiskMeasureSpec(AVAR, q)) for q in levels] * 6
@@ -432,7 +445,7 @@ class TestTableAndFigure:
         )
 
     def test_figure_data_shapes(self):
-        data = figure1_data(n_rep=1000, seed=0)
+        data = figure1_data(seed=0)
         for stem, pts in data.scatter.items():
             assert pts.shape == (1000, 2)
         files = figure1_csv(data)
@@ -447,7 +460,7 @@ class TestTableAndFigure:
         assert len(scatter) == 1001
 
     def test_figure_ellipses_close_and_sit_on_the_boundary(self):
-        data = figure1_data(n_rep=1000, seed=0)
+        data = figure1_data(seed=0)
         region = region_for(data.cloud, 0.9)
         for plane, pts in data.ellipses["figure1_ellipse_p0.9"]:
             np.testing.assert_array_equal(pts[0], pts[-1])

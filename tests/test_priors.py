@@ -29,9 +29,8 @@ class ExplicitFactorFamily(DensityFamily):
     def __init__(self, tables):
         self.tables = {k: [np.asarray(a, dtype=np.float64) for a in v] for k, v in tables.items()}
 
-    def factors(self, t, theta, block=None):
-        f = self.tables[theta][t - 1]
-        return f if block is None else f[block.children]
+    def factors(self, t, theta):
+        return self.tables[theta][t - 1]
 
 
 class TestWeights:
@@ -109,14 +108,15 @@ class TestDensityProcess:
             with pytest.raises(ValidationError, match="not positive at level 1"):
                 density_process(family, 1.0, binomial_lattice)
 
-    def test_explicit_factors_by_block(self, binomial_lattice):
+    def test_explicit_weights_by_block(self, binomial_lattice):
+        # the default weights slice the whole-level factors per block
         family = ExplicitFactorFamily(
             {"a": [np.array([1.2, 0.8]), np.array([0.9, 1.1, 0.7, 1.3])]}
         )
         lat = reblocked(binomial_lattice, 2)
         assert len(lat.blocks[1]) == 2
-        parts = [family.factors(2, "a", b) for b in lat.blocks[1]]
-        np.testing.assert_array_equal(np.concatenate(parts), family.factors(2, "a"))
+        parts = [family.weights(2, "a", b) for b in lat.blocks[1]]
+        assert np.concatenate(parts).tobytes() == family.factors(2, "a").tobytes()
 
     def test_rejects_bad_factor_levels(self, binomial_lattice):
         ok = [np.ones(2), np.ones(4)]

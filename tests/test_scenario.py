@@ -270,7 +270,7 @@ class TestStoppingTime:
         np.testing.assert_array_equal(tau.value_at_leaves(), [1, 1, 1, 1])
         never = StoppingTime.constant(binomial_lattice, 3)
         np.testing.assert_array_equal(never.value_at_leaves(), [3, 3, 3, 3])
-        assert never.max_value() == 3
+        assert never.value_at_leaves().max() == 3
 
     def test_state_dependent_rule(self, binomial_lattice):
         stopped = [

@@ -176,9 +176,6 @@ class TestBlocks:
             # a None block is the whole level
             parts = [split.cond_sum(t, vals[b.children if b else slice(None)], b) for b in blocks]
             assert np.concatenate(parts).tobytes() == lattice.cond_sum(t, vals).tobytes()
-            for theta in grid:
-                parts = [split_family.factors(t + 1, theta, b) for b in blocks]
-                assert np.concatenate(parts).tobytes() == family.factors(t + 1, theta).tobytes()
             whole = worst_case_cond_exp(lattice, family, grid, vals, t)
             by_block = worst_case_cond_exp(split, split_family, grid, vals, t)
             for a, b in zip(whole, by_block):
