@@ -11,9 +11,10 @@ line, ``#`` comments) plus flag overrides; flags win.  Commands:
 
 Each command reads only the keys that :data:`COMMAND_KEYS` gives it (plus
 ``command`` and ``out``).  A key set explicitly -- in the config file, by
-``--set`` or by a flag -- that the command does not read is rejected, and
-``manifest.txt`` records exactly the keys the command read.  ``table1`` and
-``value`` build their :class:`CaseConfig` in one place.
+``--set`` or by a flag -- that the command does not read is rejected, only
+the keys it reads are range-checked, and ``manifest.txt`` records exactly the
+keys the command read.  ``table1`` and ``value`` build their
+:class:`CaseConfig` in one place.
 
 Exit codes: 0 success, 1 validation failure, 2 numerical failure.
 """
@@ -63,6 +64,15 @@ COMMAND_KEYS: Dict[str, FrozenSet[str]] = {
     ),
 }
 
+# Range checks of the keys; a run checks only the keys its command reads.
+_CHECKS = {
+    "seed": (lambda v: v >= 0, "must be non-negative"),
+    "p": (lambda v: 0.0 < v < 1.0, "must lie in (0,1)"),
+    "q": (lambda v: 0.0 < v < 1.0, "must lie in (0,1)"),
+    "case": (lambda v: v in (1, 2), "must be 1 or 2"),
+    "kind": (lambda v: v in (VAR, AVAR), f"must be {VAR} or {AVAR}"),
+}
+
 
 @dataclass
 class RunConfig:
@@ -87,13 +97,10 @@ class RunConfig:
             raise ValidationError(
                 f"unknown command {self.command!r}; valid: {', '.join(COMMANDS)}"
             )
-        for name in ("p", "q"):
-            if not 0.0 < getattr(self, name) < 1.0:
-                raise ValidationError("level must lie in (0,1)")
-        if self.case not in (1, 2):
-            raise ValidationError("case must be 1 or 2")
-        if self.kind not in (VAR, AVAR):
-            raise ValidationError(f"risk measure kind must be {VAR} or {AVAR}")
+        reads = self.reads()
+        for key, (ok, need) in _CHECKS.items():
+            if key in reads and not ok(getattr(self, key)):
+                raise ValidationError(f"{key} {need}, got {getattr(self, key)!r}")
 
     def reads(self) -> FrozenSet[str]:
         """The keys this run's command reads."""

@@ -48,6 +48,7 @@ CASE2 = "CASE2"
 _SIGMA_FLOOR = 1e-12
 _M_SEARCH = 512  # coarse full-dimensional boundary grid of the worst-case searches
 _M_BOUNDARY = 360  # points on each 2-dim projected boundary: the h table and figure 1
+_M_UPPER = 4096  # boundary grid of the projected upper-bound searches (both cases)
 _KNOTS = 64  # C_{0,1} knots of the h table
 _CLOUD_BLOCK = 8192  # triangles simulated and fitted at once by estimator_cloud
 
@@ -143,8 +144,6 @@ def simulate_triangle(
 ) -> Tuple[np.ndarray, np.ndarray]:
     """One observed run-off triangle: ``n_years`` first-column values and
     ``n_years - 1`` second-column values (the youngest year is undeveloped)."""
-    if n_years < 3:
-        raise ValidationError("estimators need at least 3 accident years")
     if n_years > len(model.exposures):
         raise ValidationError(
             f"{n_years} accident years, but the model has {len(model.exposures)} exposures"
@@ -161,8 +160,10 @@ def _triangle_blocks(
     Each column's substream is read in order, so the triangles do not depend
     on the block size.  The last block takes a one-row remainder: numpy fits a
     single row with a dot product in place of the BLAS matrix-vector product,
-    whose sums round differently.
+    whose sums round differently.  The estimators need at least 3 accident years.
     """
+    if n_years < 3:
+        raise ValidationError("estimators need at least 3 accident years")
     v = model.exposures[:n_years]
     g1, g2 = scenario.substream(seed, 0), scenario.substream(seed, 1)
     edges = [0, *range(_CLOUD_BLOCK, n_rep - 1, _CLOUD_BLOCK), n_rep]
@@ -473,35 +474,18 @@ def case1_upper(model: GaussianModel, region: ParamRegion) -> float:
     """Worst-case expected total cash flow over fixed-parameter priors.
 
     ``sup over Theta of v_{-1} (beta1 - 1) C_{-1,1} + v0 beta0 beta1``; only
-    ``(beta0, beta1)`` enter, so the supremum runs over that projection's
-    boundary (the objective is affine-plus-bilinear, maximized at an extreme
-    point).
+    ``(beta0, beta1)`` enter, and the objective is affine-plus-bilinear, so it
+    is maximized on the boundary of that projection: ``_boundary_search`` over
+    ``_M_UPPER`` boundary points, as for the case-2 upper bound.
     """
 
-    def obj(b0: np.ndarray, b1: np.ndarray) -> np.ndarray:
+    def obj(thetas: np.ndarray) -> np.ndarray:
+        b0, b1 = thetas[:, 0], thetas[:, 1]
         return model.v_m1 * (b1 - 1.0) * model.c_m11 + model.v0 * b0 * b1
 
     proj = project_region(region, [_B0, _B1])
-    if proj.is_point:
-        return float(obj(proj.center[0], proj.center[1]))
-    r = math.sqrt(proj.radius2)
-
-    def at(ang: np.ndarray) -> np.ndarray:
-        s = np.column_stack([np.cos(ang), np.sin(ang)])
-        pts = proj.center + r * (s @ proj.chol.T)
-        return obj(pts[:, 0], pts[:, 1])
-
-    ang = np.linspace(0.0, 2.0 * np.pi, 4096, endpoint=False)
-    vals = at(ang)
-    i = int(np.argmax(vals))
-    lo, hi = ang[i] - 2.0 * np.pi / 4096, ang[i] + 2.0 * np.pi / 4096
-    import scipy.optimize
-
-    res = scipy.optimize.minimize_scalar(
-        lambda a: -float(at(np.array([a]))[0]), bounds=(lo, hi), method="bounded",
-        options={"xatol": 1e-12},
-    )
-    return float(max(vals[i], -res.fun))
+    val, _ = _boundary_search(proj, obj, maximize=True, m=_M_UPPER, positive=())
+    return val
 
 
 def case1_bounds(
@@ -618,7 +602,7 @@ def case2_upper(model: GaussianModel, region: ParamRegion) -> float:
         )
 
     proj = project_region(region, [_B0, _S0, _B1])
-    val, _ = _boundary_search(proj, obj, maximize=True, m=4096, positive=(1,))
+    val, _ = _boundary_search(proj, obj, maximize=True, m=_M_UPPER, positive=(1,))
     return val
 
 

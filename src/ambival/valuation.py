@@ -55,7 +55,8 @@ class CashFlowSpec:
     """Liability cash flow minus replicating cash flow.
 
     ``liability`` (and the optional ``replicating``) carry values at times
-    1..T; the residual flow ``X`` is computed on construction.
+    1..T; the residual flow ``X`` is computed on construction.  Without a
+    replicating flow ``X`` holds the liability's own arrays, not copies.
     """
 
     liability: AdaptedProcess
@@ -71,7 +72,7 @@ class CashFlowSpec:
         if times != list(range(1, self.horizon + 1)):
             raise ValidationError("liability must carry values at times 1..T")
         if self.replicating is None:
-            values = {t: self.liability.at(t).copy() for t in times}
+            values = {t: self.liability.at(t) for t in times}
         else:
             if self.replicating.times() != times:
                 raise ValidationError("replicating cash flow horizon mismatch")

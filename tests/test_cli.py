@@ -90,12 +90,50 @@ class TestConfigFile:
             parse_config(str(path), {})
 
     def test_level_validation(self):
-        with pytest.raises(ValidationError, match=r"level must lie in \(0,1\)"):
-            RunConfig(q=1.5)
-        with pytest.raises(ValidationError, match="case"):
-            RunConfig(case=3)
+        with pytest.raises(ValidationError, match=r"^q must lie in \(0,1\), got 1.5$"):
+            RunConfig(command="value", q=1.5)
+        with pytest.raises(ValidationError, match="^case must be 1 or 2, got 3$"):
+            RunConfig(command="value", case=3)
         with pytest.raises(ValidationError, match="unknown command"):
             RunConfig(command="tabel1")
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["--command", "value", "--p", "1.5"], "p must lie in (0,1), got 1.5"),
+            (
+                ["--command", "table1", "--set", "kind=CVAR"],
+                "kind must be VAR or AVAR, got 'CVAR'",
+            ),
+            (
+                ["--command", "oracle-check", "--q", "1.5"],
+                "command 'oracle-check' does not read 'q'",
+            ),
+            (
+                ["--command", "oracle-check", "--set", "kind=CVAR"],
+                "command 'oracle-check' does not read 'kind'",
+            ),
+            (
+                ["--command", "oracle-check", "--set", "case=3"],
+                "command 'oracle-check' does not read 'case'",
+            ),
+        ],
+        ids=["value-p", "table1-kind", "oracle-check-q", "oracle-check-kind", "oracle-check-case"],
+    )
+    def test_range_checks_only_the_keys_read_and_name_the_key(
+        self, tmp_path, capsys, argv, message
+    ):
+        out = tmp_path / "out"
+        assert main(argv + ["--out", str(out)]) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", COMMANDS)
+    def test_negative_seed_is_rejected(self, tmp_path, capsys, command):
+        out = tmp_path / "out"
+        assert main(["--command", command, "--seed", "-1", "--out", str(out)]) == 1
+        assert capsys.readouterr().err == "error: seed must be non-negative, got -1\n"
+        assert not out.exists()
 
 
 class TestMain:
@@ -176,6 +214,12 @@ class TestMain:
         )
         assert rc == 1
         assert "at least" in capsys.readouterr().err
+        assert not (tmp_path / "manifest.txt").exists()
+
+    def test_value_rejects_fewer_than_three_accident_years(self, tmp_path, capsys):
+        rc = main(["--command", "value", "--out", str(tmp_path), "--set", "i0=-2"] + SMALL)
+        assert rc == 1
+        assert capsys.readouterr().err == "error: estimators need at least 3 accident years\n"
         assert not (tmp_path / "manifest.txt").exists()
 
     @pytest.mark.parametrize(

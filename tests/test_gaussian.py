@@ -13,6 +13,7 @@ from ambival.errors import ValidationError
 from ambival.gaussian import (
     _CLOUD_BLOCK,
     CASE1,
+    TABLE1_P,
     CaseConfig,
     CloudResult,
     GaussianModel,
@@ -152,6 +153,10 @@ class TestTrianglesAndEstimators:
     def test_cloud_needs_replications(self):
         with pytest.raises(ValidationError, match="100"):
             estimator_cloud(paper_model(), 50, seed=0)
+
+    def test_cloud_needs_three_accident_years(self):
+        with pytest.raises(ValidationError, match="at least 3 accident years"):
+            estimator_cloud(GaussianModel(2.0 / 3.0, 0.2, 1.5, 0.2, i0=-2), 2000, seed=0)
 
     def test_region_radius(self):
         cloud = estimator_cloud(paper_model(), 2000, seed=0)
@@ -343,6 +348,19 @@ class TestCaseBounds:
         u1 = case1_upper(self.model, r1)
         u9 = case1_upper(self.model, r9)
         assert 4.0 / 3.0 < u1 < u9
+
+    @pytest.mark.parametrize("p", TABLE1_P)
+    def test_case1_upper_matches_a_dense_boundary_maximum(self, p):
+        # the seed-0 Table-1 region, against 2^18 evenly spaced boundary angles
+        m = self.model
+        region = region_for(estimator_cloud(m, 10**5, seed=0), p)
+        proj = project_region(region, [0, 2])
+        ang = 2.0 * np.pi * np.arange(2**18) / 2**18
+        pts = proj.center + math.sqrt(proj.radius2) * (
+            np.column_stack([np.cos(ang), np.sin(ang)]) @ proj.chol.T
+        )
+        dense = np.max(m.v_m1 * (pts[:, 1] - 1.0) * m.c_m11 + m.v0 * pts[:, 0] * pts[:, 1])
+        assert abs(case1_upper(m, region) - dense) <= 1e-9
 
     def test_case1_bounds_ordered(self):
         region = region_for(self.cloud, 0.1)

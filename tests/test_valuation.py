@@ -48,6 +48,12 @@ class TestCashFlowSpec:
         np.testing.assert_array_equal(cf.x(1), [2.0, 0.0])
         assert cf.horizon == 1
 
+    def test_residual_without_replicating_holds_the_liability_arrays(self):
+        liab = AdaptedProcess(name="L", values={1: np.array([3.0, 1.0]), 2: np.zeros(4)})
+        cf = CashFlowSpec(liability=liab)
+        for t in (1, 2):
+            assert np.shares_memory(cf.x(t), liab.at(t))
+
     def test_rejects_gaps(self):
         with pytest.raises(ValidationError, match="1..T"):
             CashFlowSpec(liability=AdaptedProcess(name="L", values={2: np.zeros(3)}))
