@@ -7,7 +7,7 @@ The package splits into a generic engine and a worked case study:
 * ``priors``       -- parametric density processes and ambiguity ellipsoids
 * ``valuation``    -- the multiple-prior backward recursion and bounds
 * ``oracle``       -- brute-force enumeration cross-check on small lattices
-* ``gaussian``     -- two-period Gaussian chain-ladder study (tables, figures)
+* ``gaussian``     -- two-period Gaussian chain-ladder study (bounds, figure data)
 * ``cli``          -- config-driven command-line front end
 """
 

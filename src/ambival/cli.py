@@ -5,18 +5,19 @@ line, ``#`` comments) plus flag overrides; flags win.  Commands:
 
 * ``oracle-check`` -- recursion vs brute-force enumeration on random trees,
   plus the supermartingale step margins (the default command)
-* ``table1``     -- full bound table over the (case, p, q) grid, CSV output
+* ``table1``     -- the bound table: both cases over the (p, q) grid
 * ``figure1``    -- estimator scatter and region-boundary CSVs
-* ``value``      -- one (case, p, q) bound computation
+* ``value``      -- one (case, p, q) cell of that table
 
 Each command reads only the keys that :data:`COMMAND_KEYS` gives it (plus
 ``command`` and ``out``).  A key set explicitly -- in the config file, by
 ``--set`` or by a flag -- that the command does not read is rejected, only
 the keys it reads are range-checked, and ``manifest.txt`` records exactly the
-keys the command read.  ``table1`` and ``value`` build their
-:class:`CaseConfig` in one place.
+keys the command read.  ``table1`` and ``value`` run through one bound loop
+(:func:`_cmd_bounds`) and write one CSV row format.
 
-Exit codes: 0 success, 1 validation failure, 2 numerical failure.
+Exit codes: 0 success, 1 validation failure (usage errors included),
+2 numerical failure.
 """
 
 from __future__ import annotations
@@ -25,9 +26,9 @@ import argparse
 import logging
 import os
 import sys
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, fields, replace
 from pathlib import Path
-from typing import Dict, FrozenSet, List, Optional
+from typing import Dict, FrozenSet, List, NoReturn, Optional
 
 import numpy as np
 
@@ -35,6 +36,8 @@ from .errors import NumericalError, ValidationError
 from .gaussian import (
     CASE1,
     CASE2,
+    TABLE1_P,
+    TABLE1_Q,
     CaseConfig,
     GaussianModel,
     case1_bounds,
@@ -43,8 +46,6 @@ from .gaussian import (
     figure1_csv,
     figure1_data,
     region_for,
-    table1,
-    table1_csv,
 )
 from .riskmeasures import AVAR, VAR, RiskMeasureSpec
 
@@ -71,6 +72,9 @@ _CHECKS = {
     "q": (lambda v: 0.0 < v < 1.0, "must lie in (0,1)"),
     "case": (lambda v: v in (1, 2), "must be 1 or 2"),
     "kind": (lambda v: v in (VAR, AVAR), f"must be {VAR} or {AVAR}"),
+    # the library's own bounds (estimator_cloud, the estimators), here named by key
+    "cloud_n_rep": (lambda v: v >= 100, "must be at least 100"),
+    "i0": (lambda v: v <= -3, "must be at most -3 (3 accident years)"),
 }
 
 
@@ -182,22 +186,34 @@ def _write_manifest(out_dir: Path, cfg: RunConfig, **matrices: np.ndarray) -> No
     _write(out_dir, "manifest.txt", cfg.to_manifest() + "".join(rows))
 
 
-def _case_config(cfg: RunConfig) -> CaseConfig:
-    """The run's bound-computation knobs, checked before any work is done."""
-    rm = RiskMeasureSpec(cfg.kind, cfg.q)
-    return CaseConfig(rm=rm, n=cfg.n, seed=cfg.seed, threads=cfg.threads)
+def _cmd_bounds(cfg: RunConfig, out_dir: Path) -> None:
+    """``table1`` and ``value``: bound cells ``(case, p, q)`` on one estimator cloud.
 
-
-def _cmd_table1(cfg: RunConfig, out_dir: Path) -> None:
-    # table1 replaces the level of the config's risk measure per cell
-    result = table1(_case_config(cfg), model=cfg.model(), cloud_n_rep=cfg.cloud_n_rep)
-    _write(out_dir, "table1.csv", table1_csv(result))
-    _write_manifest(out_dir, cfg, mu=result.mu, sigma=result.sigma)
-    for row in result.rows:
-        print(
-            f"{row['case']} p={row['p']} q={row['q']}: "
-            f"({row['lower']:.3f}, {row['upper']:.3f})"
-        )
+    ``table1`` runs both cases over ``TABLE1_P`` x ``TABLE1_Q`` and never
+    reads ``q``; ``value`` runs the one cell its keys name.  Each cell runs the
+    run's :class:`CaseConfig` (checked before any work) with the level of its
+    risk measure replaced by the cell's ``q``, on the confidence ellipsoid at
+    the cell's ``p`` around the cloud drawn with ``seed``.
+    """
+    case_cfg = CaseConfig(
+        rm=RiskMeasureSpec(cfg.kind, cfg.q), n=cfg.n, seed=cfg.seed, threads=cfg.threads
+    )
+    if cfg.command == "table1":
+        cells = [(case, p, q) for case in (CASE1, CASE2) for p in TABLE1_P for q in TABLE1_Q]
+    else:
+        cells = [(CASE1 if cfg.case == 1 else CASE2, cfg.p, cfg.q)]
+    model = cfg.model()
+    cloud = estimator_cloud(model, cfg.cloud_n_rep, cfg.seed)
+    rows, lines = ["case,p,q,lower,upper,n,seed\n"], []
+    for case, p, q in cells:
+        bounds = case1_bounds if case == CASE1 else case2_value
+        cell_cfg = replace(case_cfg, rm=RiskMeasureSpec(cfg.kind, q))
+        lower, upper, _ = bounds(cell_cfg, model, region_for(cloud, p))
+        rows.append(f"{case},{p!r},{q!r},{lower!r},{upper!r},{cfg.n},{cfg.seed}\n")
+        lines.append(f"{case} p={p} q={q}: ({lower:.3f}, {upper:.3f})")
+    _write(out_dir, f"{cfg.command}.csv", "".join(rows))
+    _write_manifest(out_dir, cfg, mu=cloud.mu, sigma=cloud.sigma)
+    print("\n".join(lines))
 
 
 def _cmd_figure1(cfg: RunConfig, out_dir: Path) -> None:
@@ -207,25 +223,6 @@ def _cmd_figure1(cfg: RunConfig, out_dir: Path) -> None:
         _write(out_dir, name, text)
     _write_manifest(out_dir, cfg, mu=data.cloud.mu, sigma=data.cloud.sigma)
     print(f"figure1: {len(files)} files in {out_dir}")
-
-
-def _cmd_value(cfg: RunConfig, out_dir: Path) -> None:
-    case_cfg = _case_config(cfg)
-    model = cfg.model()
-    cloud = estimator_cloud(model, cfg.cloud_n_rep, cfg.seed)
-    region = region_for(cloud, cfg.p)
-    case = CASE1 if cfg.case == 1 else CASE2
-    if cfg.case == 1:
-        lower, upper, _ = case1_bounds(case_cfg, model, region)
-    else:
-        lower, upper, _ = case2_value(case_cfg, model, region)
-    _write(
-        out_dir, "value.csv",
-        "case,p,q,lower,upper,n,seed\n"
-        f"{case},{cfg.p!r},{cfg.q!r},{lower!r},{upper!r},{cfg.n},{cfg.seed}\n",
-    )
-    _write_manifest(out_dir, cfg, mu=cloud.mu, sigma=cloud.sigma)
-    print(f"{case} p={cfg.p} q={cfg.q}: ({lower:.3f}, {upper:.3f})")
 
 
 def _cmd_oracle_check(cfg: RunConfig, out_dir: Path) -> None:
@@ -261,8 +258,15 @@ def _cmd_oracle_check(cfg: RunConfig, out_dir: Path) -> None:
     print(report, end="")
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reports a usage error as a :class:`ValidationError` (exit 1), not by exit 2."""
+
+    def error(self, message: str) -> NoReturn:
+        raise ValidationError(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="ambival",
         description="Valuation bounds for insurance run-offs under parameter ambiguity.",
     )
@@ -284,8 +288,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: Optional[List[str]] = None) -> int:
     logging.basicConfig(level=logging.INFO, format="%(levelname)s %(name)s: %(message)s")
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         overrides: Dict[str, object] = {}
         for item in args.set:
             if "=" not in item:
@@ -301,9 +305,9 @@ def main(argv: Optional[List[str]] = None) -> int:
         cfg = parse_config(args.config, overrides)
         out_dir = Path(cfg.out)
         dispatch = {
-            "table1": _cmd_table1,
+            "table1": _cmd_bounds,
             "figure1": _cmd_figure1,
-            "value": _cmd_value,
+            "value": _cmd_bounds,
             "oracle-check": _cmd_oracle_check,
         }
         dispatch[cfg.command](cfg, out_dir)

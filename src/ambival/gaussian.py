@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -636,59 +636,11 @@ def case2_value(
 # table 1 and figure 1
 # ---------------------------------------------------------------------------
 
+# the (p, q) grid of Table 1, run for both cases by the CLI's table1 command
 TABLE1_P = (0.1, 0.5, 0.9)
 TABLE1_Q = (0.10, 0.05, 0.01, 0.005)
 FIGURE1_P = (0.1, 0.9)
 FIGURE1_N_REP = 1000  # estimator replications in each scatter
-
-
-@dataclass
-class Table1Result:
-    rows: List[Dict[str, object]]
-    mu: np.ndarray
-    sigma: np.ndarray
-
-
-def table1(
-    cfg: CaseConfig, model: Optional[GaussianModel] = None, cloud_n_rep: int = 10**5
-) -> Table1Result:
-    """Lower and upper time-0 bounds over the (p, q) grid for both cases.
-
-    Every cell runs ``cfg`` with the level of ``cfg.rm`` replaced by the
-    cell's ``q`` (the risk-measure kind is kept), so ``cfg.rm.q`` itself is
-    never read.  The ambiguity region is a confidence ellipsoid around the
-    estimator-cloud mean with the cloud's sample covariance, the cloud drawn
-    with ``cfg.seed``; a large cloud keeps the region stable across seeds.
-    All Monte Carlo layers share seeded substreams, so the result is a
-    deterministic function of the arguments.
-    """
-    model = model if model is not None else paper_model()
-    cloud = estimator_cloud(model, cloud_n_rep, cfg.seed)
-    rows: List[Dict[str, object]] = []
-    for case in (CASE1, CASE2):
-        for p in TABLE1_P:
-            region = region_for(cloud, p)
-            for q in TABLE1_Q:
-                cell = replace(cfg, rm=RiskMeasureSpec(cfg.rm.kind, q))
-                if case == CASE1:
-                    lower, upper, _ = case1_bounds(cell, model, region)
-                else:
-                    lower, upper, _ = case2_value(cell, model, region)
-                rows.append(
-                    {"case": case, "p": p, "q": q, "lower": lower, "upper": upper,
-                     "n": cfg.n, "seed": cfg.seed}
-                )
-    return Table1Result(rows=rows, mu=cloud.mu, sigma=cloud.sigma)
-
-
-def table1_csv(result: Table1Result) -> str:
-    lines = ["case,p,q,lower,upper,n,seed"]
-    for row in result.rows:
-        lines.append(
-            f"{row['case']},{row['p']!r},{row['q']!r},{row['lower']!r},"
-            f"{row['upper']!r},{row['n']},{row['seed']}"
-        )
-    return "\n".join(lines) + "\n"
 
 
 @dataclass

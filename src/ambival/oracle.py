@@ -264,8 +264,10 @@ def random_suite(seed: int, n_instances: int) -> Iterator[Instance]:
     """Random problems small enough for exhaustive enumeration.
 
     The ``(horizon, branching)`` shapes cycle; the deepest one drops the grid
-    midpoint to keep the selection count low.
+    midpoint to keep the selection count low.  A negative seed is rejected.
     """
+    if seed < 0:
+        raise ValidationError(f"seed must be non-negative, got {seed!r}")
     rng = np.random.default_rng(seed)
     shapes = [(1, 3), (2, 2), (2, 3), (3, 2)]
     for trial in range(n_instances):

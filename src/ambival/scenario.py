@@ -357,10 +357,14 @@ class StoppingTime:
 
 
 def substream(seed: int, *ids: int) -> np.random.Generator:
-    """Counter-based generator for an independent, reproducible substream."""
-    return np.random.Generator(
-        np.random.Philox(np.random.SeedSequence([int(seed) & (2**63 - 1), *ids]))
-    )
+    """Counter-based generator for an independent, reproducible substream.
+
+    Distinct non-negative seeds give distinct substreams; a negative seed is
+    rejected.
+    """
+    if seed < 0:
+        raise ValidationError(f"seed must be non-negative, got {seed!r}")
+    return np.random.Generator(np.random.Philox(np.random.SeedSequence([int(seed), *ids])))
 
 
 def simulate_paths(n_columns: int, n: int, seed: int) -> np.ndarray:

@@ -48,6 +48,7 @@ from .scenario import AdaptedProcess, ScenarioLattice, StoppingTime, assert_adap
 # two einsum calls per theta cost more than two reduceat calls (measured
 # crossover on 256-2,048 children of 2-32 per parent).
 _ROW_MIN_CHILDREN = 1 << 10
+_STEP_MARGIN_TOL = 1e-10  # a step margin below -tol is a supermartingale violation
 
 
 @dataclass
@@ -96,13 +97,11 @@ class ValuationOutput:
     without storage of its own (``np.broadcast_to``); copy them to write.
     """
 
-    horizon: int
     R: Dict[int, np.ndarray]
     C: Dict[int, np.ndarray]
     V: Dict[int, np.ndarray]
     theta_star: Dict[int, np.ndarray]  # grid index per time-t state
     default_indicator: Dict[int, np.ndarray]  # {R_{t-1} - X_t - V_t < 0} per time-t state
-    grid: List[Any]
 
     @property
     def v0(self) -> float:
@@ -267,13 +266,7 @@ def value_multiprior(
         C[t], theta_star[t] = worst_case_cond_exp(lattice, family, grid, surplus, t)
         V[t] = R[t] - C[t]
     return ValuationOutput(
-        horizon=T,
-        R=R,
-        C=C,
-        V=V,
-        theta_star=theta_star,
-        default_indicator=default_ind,
-        grid=list(grid),
+        R=R, C=C, V=V, theta_star=theta_star, default_indicator=default_ind
     )
 
 
@@ -353,8 +346,7 @@ class SupermartingaleReport:
 
     step_margins: Dict[int, np.ndarray]  # V_t - E^P_t[X_{t+1} + V_{t+1}]
     risk_margins: Dict[int, np.ndarray]  # V_t - E^P_t[X_{t+1} + ... + X_T]
-    violations: List[Tuple[int, int]]
-    tol: float = 1e-10
+    violations: List[Tuple[int, int]]  # (t, node): step margin below -_STEP_MARGIN_TOL
 
     @property
     def ok(self) -> bool:
@@ -378,7 +370,7 @@ def supermartingale_diagnostic(
         cont = lattice.cond_sum(t, p * (cf.x(t + 1) + out.V[t + 1]))
         step_margins[t] = out.V[t] - cont
         risk_margins[t] = out.V[t] - remaining_by_t[t]
-        for j in np.nonzero(step_margins[t] < -SupermartingaleReport.tol)[0]:
+        for j in np.nonzero(step_margins[t] < -_STEP_MARGIN_TOL)[0]:
             violations.append((t, int(j)))
     return SupermartingaleReport(
         step_margins=step_margins, risk_margins=risk_margins, violations=violations

@@ -12,10 +12,10 @@ from ambival.priors import ExponentialTiltFamily
 from ambival.scenario import ScenarioLattice, build_lattice
 
 
-def cell(result, case, p, q):
-    """``(lower, upper)`` of one (case, p, q) row of a :class:`Table1Result`."""
-    for row in result.rows:
-        if row["case"] == case and row["p"] == p and row["q"] == q:
+def cell(rows, case, p, q):
+    """``(lower, upper)`` of one (case, p, q) row of a parsed ``table1.csv``."""
+    for row in rows:
+        if row["case"] == case and float(row["p"]) == p and float(row["q"]) == q:
             return float(row["lower"]), float(row["upper"])
     raise KeyError((case, p, q))
 

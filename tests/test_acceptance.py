@@ -5,6 +5,7 @@ yields one pass/fail line per criterion; a short summary line is also printed
 for each.
 """
 
+import csv
 import time
 
 import numpy as np
@@ -24,7 +25,6 @@ from ambival.gaussian import (
     paper_model,
     r1_closed_form,
     region_for,
-    table1,
 )
 from ambival.oracle import random_suite, snell_bruteforce
 from ambival.priors import StoppingTime, density_process, paste, point_region
@@ -82,12 +82,15 @@ def oracle_suite():
 
 
 @pytest.fixture(scope="module")
-def table_runs():
+def table_runs(tmp_path_factory):
+    """``table1`` at its defaults (V@R, n = 10^5, a 10^5-triangle cloud) for seeds 0-2."""
     start = time.time()
-    results = {
-        seed: table1(CaseConfig(rm=RiskMeasureSpec(VAR, 0.05), n=10**5, seed=seed))
-        for seed in (0, 1, 2)
-    }
+    results = {}
+    for seed in (0, 1, 2):
+        out = tmp_path_factory.mktemp(f"table1_seed{seed}")
+        assert main(["--command", "table1", "--seed", str(seed), "--out", str(out)]) == 0
+        with open(out / "table1.csv", newline="") as f:
+            results[seed] = list(csv.DictReader(f))
     return results, time.time() - start
 
 

@@ -16,6 +16,8 @@ import ambival.gaussian
 import ambival.valuation
 from ambival.cli import COMMAND_KEYS, COMMANDS, RunConfig, main, parse_config
 from ambival.errors import ValidationError
+from ambival.gaussian import CaseConfig
+from ambival.riskmeasures import AVAR, RiskMeasureSpec
 
 FIELDS = [f.name for f in fields(RunConfig)]
 README = Path(__file__).parents[1] / "README.md"
@@ -117,8 +119,23 @@ class TestConfigFile:
                 ["--command", "oracle-check", "--set", "case=3"],
                 "command 'oracle-check' does not read 'case'",
             ),
+            (
+                ["--command", "value", "--n", "2000", "--set", "cloud_n_rep=50"],
+                "cloud_n_rep must be at least 100, got 50",
+            ),
+            (
+                ["--command", "table1", "--set", "cloud_n_rep=99"],
+                "cloud_n_rep must be at least 100, got 99",
+            ),
+            (
+                ["--command", "figure1", "--set", "i0=-2"],
+                "i0 must be at most -3 (3 accident years), got -2",
+            ),
         ],
-        ids=["value-p", "table1-kind", "oracle-check-q", "oracle-check-kind", "oracle-check-case"],
+        ids=[
+            "value-p", "table1-kind", "oracle-check-q", "oracle-check-kind", "oracle-check-case",
+            "value-cloud_n_rep", "table1-cloud_n_rep", "figure1-i0",
+        ],
     )
     def test_range_checks_only_the_keys_read_and_name_the_key(
         self, tmp_path, capsys, argv, message
@@ -219,7 +236,9 @@ class TestMain:
     def test_value_rejects_fewer_than_three_accident_years(self, tmp_path, capsys):
         rc = main(["--command", "value", "--out", str(tmp_path), "--set", "i0=-2"] + SMALL)
         assert rc == 1
-        assert capsys.readouterr().err == "error: estimators need at least 3 accident years\n"
+        assert capsys.readouterr().err == (
+            "error: i0 must be at most -3 (3 accident years), got -2\n"
+        )
         assert not (tmp_path / "manifest.txt").exists()
 
     @pytest.mark.parametrize(
@@ -247,11 +266,76 @@ class TestMain:
     def test_table1_rejects_out_of_range_keys_before_any_work(
         self, tmp_path, capsys, monkeypatch, bad
     ):
-        monkeypatch.setattr(ambival.gaussian, "estimator_cloud", None)
+        monkeypatch.setattr(ambival.cli, "estimator_cloud", None)
         rc = main(["--command", "table1", "--out", str(tmp_path), "--set", bad])
         assert rc == 1
         assert "at least" in capsys.readouterr().err
         assert not tmp_path.joinpath("manifest.txt").exists()
+
+    def test_table_csv_format(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(ambival.cli, "case1_bounds", lambda *args: (1.25, 1.5, None))
+        argv = ["--command", "value", "--p", "0.1", "--q", "0.05", "--n", "1000"]
+        assert main(argv + ["--out", str(tmp_path), "--set", "cloud_n_rep=2000"]) == 0
+        lines = (tmp_path / "value.csv").read_text().split("\n")
+        assert lines == ["case,p,q,lower,upper,n,seed", "CASE1,0.1,0.05,1.25,1.5,1000,0", ""]
+        assert capsys.readouterr().out == "CASE1 p=0.1 q=0.05: (1.250, 1.500)\n"
+
+    def test_table1_runs_the_config_at_each_level(self, tmp_path, monkeypatch):
+        seen = []
+
+        def record(cfg, model, region):
+            seen.append(cfg)
+            return 1.0, 2.0, None
+
+        monkeypatch.setattr(ambival.cli, "case1_bounds", record)
+        monkeypatch.setattr(ambival.cli, "case2_value", record)
+        argv = ["--command", "table1", "--seed", "3", "--set", "kind=AVAR"] + SMALL
+        assert main(argv + ["--out", str(tmp_path)]) == 0
+        levels = [0.10, 0.05, 0.01, 0.005]
+        cfgs = [CaseConfig(rm=RiskMeasureSpec(AVAR, q), n=2000, seed=3) for q in levels]
+        assert seen == cfgs * 6
+        header, *rows = (tmp_path / "table1.csv").read_text().splitlines()
+        assert header == "case,p,q,lower,upper,n,seed"
+        cells = [row.split(",") for row in rows]
+        assert [(c[0], float(c[1])) for c in cells[::4]] == [
+            (case, p) for case in ("CASE1", "CASE2") for p in (0.1, 0.5, 0.9)
+        ]
+        assert [float(c[2]) for c in cells] == levels * 6
+        assert {(c[5], c[6]) for c in cells} == {("2000", "3")}
+        mu = ambival.gaussian.estimator_cloud(ambival.gaussian.paper_model(), 2000, seed=3).mu
+        assert f"mu_0 = {' '.join(repr(float(x)) for x in mu)}\n" in (
+            (tmp_path / "manifest.txt").read_text()
+        )
+
+    @pytest.mark.parametrize("kind", ["VAR", "AVAR"])
+    def test_a_value_row_is_its_table1_row(self, tmp_path, capsys, kind):
+        small = SMALL + ["--seed", "4", "--set", f"kind={kind}"]
+        assert main(["--command", "table1", "--out", str(tmp_path / "t")] + small) == 0
+        table_csv = (tmp_path / "t" / "table1.csv").read_bytes().splitlines(keepends=True)
+        table_out = capsys.readouterr().out.splitlines(keepends=True)
+        for case, p, q, row in (("1", "0.9", "0.005", 12), ("2", "0.1", "0.05", 14)):
+            argv = ["--command", "value", "--case", case, "--p", p, "--q", q] + small
+            assert main(argv + ["--out", str(tmp_path / case)]) == 0
+            header, value_row = (tmp_path / case / "value.csv").read_bytes().splitlines(True)
+            assert header == table_csv[0] and value_row == table_csv[row]
+            assert [capsys.readouterr().out] == table_out[row - 1 : row]
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["--case", "3"], ["--seed", "abc"], ["--command", "bogus"], ["--bogus"]],
+        ids=["case", "seed", "command", "unknown-flag"],
+    )
+    def test_usage_errors_exit_1(self, tmp_path, capsys, argv):
+        out = tmp_path / "out"
+        assert main(argv + ["--out", str(out)]) == 1
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not out.exists()
+
+    def test_help_exits_0(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["--help"])
+        assert exc.value.code == 0
+        assert capsys.readouterr().out.startswith("usage: ambival")
 
     def test_figure1_outputs(self, tmp_path):
         rc = main(["--command", "figure1", "--out", str(tmp_path), "--seed", "2"])

@@ -12,13 +12,10 @@ from scipy.stats import norm
 from ambival.errors import ValidationError
 from ambival.gaussian import (
     _CLOUD_BLOCK,
-    CASE1,
     TABLE1_P,
     CaseConfig,
-    CloudResult,
     GaussianModel,
     GaussianStepFamily,
-    Table1Result,
     _boundary_search,
     _estimators,
     case1_bounds,
@@ -35,8 +32,6 @@ from ambival.gaussian import (
     r1_closed_form,
     region_for,
     simulate_triangle,
-    table1,
-    table1_csv,
 )
 from ambival.priors import density_process, point_region, project_region
 from ambival.riskmeasures import AVAR, VAR, RiskMeasureSpec, apply_empirical, gaussian_c
@@ -430,38 +425,6 @@ class TestHFit:
 
 
 class TestTableAndFigure:
-    def test_table_csv_format(self):
-        result = Table1Result(
-            rows=[{"case": CASE1, "p": 0.1, "q": 0.05, "lower": 1.25, "upper": 1.5,
-                   "n": 1000, "seed": 0}],
-            mu=np.zeros(4), sigma=np.eye(4),
-        )
-        text = table1_csv(result)
-        lines = text.strip().split("\n")
-        assert lines[0] == "case,p,q,lower,upper,n,seed"
-        assert lines[1] == "CASE1,0.1,0.05,1.25,1.5,1000,0"
-
-    def test_table1_runs_the_config_at_each_level(self, monkeypatch):
-        import ambival.gaussian
-
-        seen = []
-
-        def record(cfg, model, region):
-            seen.append(cfg)
-            return 1.0, 2.0, None
-
-        monkeypatch.setattr(ambival.gaussian, "case1_bounds", record)
-        monkeypatch.setattr(ambival.gaussian, "case2_value", record)
-        cfg = CaseConfig(rm=RiskMeasureSpec(AVAR, 0.5), n=2000, seed=3)
-        result = table1(cfg, cloud_n_rep=2000)
-        levels = [0.10, 0.05, 0.01, 0.005]
-        assert seen == [replace(cfg, rm=RiskMeasureSpec(AVAR, q)) for q in levels] * 6
-        assert [row["q"] for row in result.rows] == levels * 6
-        assert {(row["n"], row["seed"]) for row in result.rows} == {(2000, 3)}
-        np.testing.assert_array_equal(
-            result.mu, estimator_cloud(paper_model(), 2000, seed=3).mu
-        )
-
     def test_figure_data_shapes(self):
         data = figure1_data(seed=0)
         for stem, pts in data.scatter.items():

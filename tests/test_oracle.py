@@ -4,11 +4,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 
-from ambival.errors import CapExceededError
+from ambival.errors import CapExceededError, ValidationError
 from ambival.oracle import (
     count_stopping_times,
     enumerate_selections,
     enumerate_stopping_times,
+    random_suite,
     selection_densities,
     snell_bruteforce,
 )
@@ -171,6 +172,10 @@ class TestBruteForce:
 
 
 class TestRandomInstance:
+    def test_suite_rejects_a_negative_seed(self):
+        with pytest.raises(ValidationError, match="seed must be non-negative, got -1"):
+            next(random_suite(-1, 2))
+
     @pytest.mark.parametrize("horizon, branching", [(1, 3), (2, 2), (2, 3), (3, 2)])
     def test_a_level_drawn_as_one_matrix_is_the_per_row_stream(self, horizon, branching):
         # row after row of a (nodes, branching) draw, and the same draws after it

@@ -316,6 +316,20 @@ class TestPathSample:
         y = substream(3, 1, 2).standard_normal(5)
         np.testing.assert_array_equal(x, y)
 
+    def test_seeds_are_never_aliased(self):
+        # the draws of seeds in [0, 2^63) are those of the plain SeedSequence
+        for seed in (0, 5, 2**63 - 1):
+            ref = np.random.Generator(np.random.Philox(np.random.SeedSequence([seed, 1, 2])))
+            np.testing.assert_array_equal(
+                substream(seed, 1, 2).standard_normal(5), ref.standard_normal(5)
+            )
+        assert not np.array_equal(simulate_paths(2, 5, 2**63), simulate_paths(2, 5, 0))
+        for seed in (-1, -(2**63)):
+            with pytest.raises(ValidationError, match=f"seed must be non-negative, got {seed}"):
+                substream(seed)
+            with pytest.raises(ValidationError, match="non-negative"):
+                simulate_paths(2, 5, seed)
+
     def test_rejects_bad_specs(self):
         with pytest.raises(ValidationError, match="column"):
             simulate_paths(0, 10, seed=0)
