@@ -7,8 +7,8 @@ The package splits into a generic engine and a worked case study:
 * ``priors``       -- parametric density processes and ambiguity ellipsoids
 * ``valuation``    -- the multiple-prior backward recursion and bounds
 * ``oracle``       -- brute-force enumeration cross-check on small lattices
-* ``gaussian``     -- two-period Gaussian chain-ladder study (bounds, figure data)
-* ``cli``          -- config-driven command-line front end
+* ``gaussian``     -- two-period Gaussian chain-ladder study (estimators, bounds)
+* ``cli``          -- config-driven command-line front end; writes every artifact
 """
 
 from .errors import CapExceededError, NumericalError, ValidationError

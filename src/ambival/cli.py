@@ -14,7 +14,8 @@ Each command reads only the keys that :data:`COMMAND_KEYS` gives it (plus
 ``--set`` or by a flag -- that the command does not read is rejected, only
 the keys it reads are range-checked, and ``manifest.txt`` records exactly the
 keys the command read.  ``table1`` and ``value`` run through one bound loop
-(:func:`_cmd_bounds`) and write one CSV row format.
+(:func:`_cmd_bounds`) and write one CSV row format.  This module writes every
+artifact, and every float in one goes through :func:`_num`.
 
 Exit codes: 0 success, 1 validation failure (usage errors included),
 2 numerical failure.
@@ -43,15 +44,20 @@ from .gaussian import (
     case1_bounds,
     case2_value,
     estimator_cloud,
-    figure1_csv,
-    figure1_data,
     region_for,
 )
+from .priors import boundary_grid, project_region
 from .riskmeasures import AVAR, VAR, RiskMeasureSpec
 
 logger = logging.getLogger(__name__)
 
 COMMANDS = ("oracle-check", "table1", "figure1", "value")
+
+FIGURE1_P = (0.1, 0.9)  # confidence levels of the figure-1 ellipses
+FIGURE1_N_REP = 1000  # estimator replications in each scatter
+_FIGURE1_M = 360  # points on each closed ellipse polyline, the first repeated last
+# the coordinate planes of figure 1: the axis names and their theta coordinates
+_FIGURE1_PLANES = ((("beta0", "beta1"), [0, 2]), (("beta1", "sigma1"), [2, 3]))
 
 _MODEL_KEYS = ("beta0", "sigma0", "beta1", "sigma1", "i0")
 
@@ -176,10 +182,15 @@ def _write(out_dir: Path, name: str, text: str) -> None:
     logger.info("wrote %s", out_dir / name)
 
 
+def _num(x: float) -> str:
+    """An artifact's float: the shortest text that reads back to the same double."""
+    return repr(float(x))
+
+
 def _write_manifest(out_dir: Path, cfg: RunConfig, **matrices: np.ndarray) -> None:
     """``manifest.txt``: the config, then one line per row of each matrix."""
     rows = [
-        f"{name}_{i} = {' '.join(repr(float(x)) for x in np.atleast_1d(row))}\n"
+        f"{name}_{i} = {' '.join(_num(x) for x in np.atleast_1d(row))}\n"
         for name, mat in matrices.items()
         for i, row in enumerate(np.atleast_2d(mat))
     ]
@@ -209,7 +220,7 @@ def _cmd_bounds(cfg: RunConfig, out_dir: Path) -> None:
         bounds = case1_bounds if case == CASE1 else case2_value
         cell_cfg = replace(case_cfg, rm=RiskMeasureSpec(cfg.kind, q))
         lower, upper, _ = bounds(cell_cfg, model, region_for(cloud, p))
-        rows.append(f"{case},{p!r},{q!r},{lower!r},{upper!r},{cfg.n},{cfg.seed}\n")
+        rows.append(f"{case},{_num(p)},{_num(q)},{_num(lower)},{_num(upper)},{cfg.n},{cfg.seed}\n")
         lines.append(f"{case} p={p} q={q}: ({lower:.3f}, {upper:.3f})")
     _write(out_dir, f"{cfg.command}.csv", "".join(rows))
     _write_manifest(out_dir, cfg, mu=cloud.mu, sigma=cloud.sigma)
@@ -217,11 +228,27 @@ def _cmd_bounds(cfg: RunConfig, out_dir: Path) -> None:
 
 
 def _cmd_figure1(cfg: RunConfig, out_dir: Path) -> None:
-    data = figure1_data(model=cfg.model(), seed=cfg.seed)
-    files = figure1_csv(data)
+    """``figure1``: estimator scatters and confidence-region boundaries.
+
+    For each plane of ``_FIGURE1_PLANES``, one scatter of the
+    ``FIGURE1_N_REP`` estimates drawn with ``seed``; for each level of
+    ``FIGURE1_P``, one file of closed polylines on the boundary of the
+    region's projection onto each plane.
+    """
+    cloud = estimator_cloud(cfg.model(), FIGURE1_N_REP, cfg.seed)
+    files = {}
+    for (x, y), coords in _FIGURE1_PLANES:
+        rows = [f"{_num(a)},{_num(b)}\n" for a, b in cloud.cloud[:, coords]]
+        files[f"figure1_scatter_{x}_{y}.csv"] = f"{x},{y}\n" + "".join(rows)
+    for p in FIGURE1_P:
+        region, rows = region_for(cloud, p), ["plane,x,y\n"]
+        for (x, y), coords in _FIGURE1_PLANES:
+            pts = boundary_grid(project_region(region, coords), _FIGURE1_M).points
+            rows += [f"{x}_{y},{_num(a)},{_num(b)}\n" for a, b in np.vstack([pts, pts[:1]])]
+        files[f"figure1_ellipse_p{p}.csv"] = "".join(rows)
     for name, text in files.items():
         _write(out_dir, name, text)
-    _write_manifest(out_dir, cfg, mu=data.cloud.mu, sigma=data.cloud.sigma)
+    _write_manifest(out_dir, cfg, mu=cloud.mu, sigma=cloud.sigma)
     print(f"figure1: {len(files)} files in {out_dir}")
 
 

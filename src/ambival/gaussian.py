@@ -16,7 +16,9 @@ needs Monte Carlo.  Two ambiguity attitudes are supported:
 
 All sampling is seeded and deterministic; worst-case searches use
 deterministic low-discrepancy boundary grids with local refinement.
-scipy loads at first use, inside the functions that call it.
+scipy loads at first use, inside the functions that call it.  The CLI
+(:mod:`ambival.cli`) runs these pieces for Table 1 and Figure 1 and writes
+every artifact; this module writes none.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import dataclass
-from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Callable, Iterator, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -47,7 +49,7 @@ CASE2 = "CASE2"
 
 _SIGMA_FLOOR = 1e-12
 _M_SEARCH = 512  # coarse full-dimensional boundary grid of the worst-case searches
-_M_BOUNDARY = 360  # points on each 2-dim projected boundary: the h table and figure 1
+_M_BOUNDARY = 360  # points on the (beta1, sigma1) projected boundary of the h table
 _M_UPPER = 4096  # boundary grid of the projected upper-bound searches (both cases)
 _KNOTS = 64  # C_{0,1} knots of the h table
 _CLOUD_BLOCK = 8192  # triangles simulated and fitted at once by estimator_cloud
@@ -256,7 +258,7 @@ def estimator_cloud(model: GaussianModel, n_rep: int, seed: int) -> CloudResult:
 
 def region_for(cloud: CloudResult, p: float) -> ParamRegion:
     """Approximate confidence ellipsoid at level ``p`` for the 4 parameters."""
-    return ellipsoid_region(cloud.mu, cloud.sigma, p, 4)
+    return ellipsoid_region(cloud.mu, cloud.sigma, p)
 
 
 # ---------------------------------------------------------------------------
@@ -591,8 +593,9 @@ def case2_upper(model: GaussianModel, region: ParamRegion) -> float:
 
     def obj(thetas: np.ndarray) -> np.ndarray:
         b0, s0, b1 = thetas[:, 0], thetas[:, 1], thetas[:, 2]
-        z = b0 / s0
-        pos_mean = b0 * ndtr(z) + s0 * _npdf(z)  # E[C01^+]
+        sd = s0 / math.sqrt(model.v0)  # standard deviation of C01
+        z = b0 / sd
+        pos_mean = b0 * ndtr(z) + sd * _npdf(z)  # E[C01^+]
         neg_mean = pos_mean - b0  # E[C01^-]
         return (
             model.v_m1 * (b1 - 1.0) * model.c_m11
@@ -633,60 +636,9 @@ def case2_value(
 
 
 # ---------------------------------------------------------------------------
-# table 1 and figure 1
+# table 1
 # ---------------------------------------------------------------------------
 
 # the (p, q) grid of Table 1, run for both cases by the CLI's table1 command
 TABLE1_P = (0.1, 0.5, 0.9)
 TABLE1_Q = (0.10, 0.05, 0.01, 0.005)
-FIGURE1_P = (0.1, 0.9)
-FIGURE1_N_REP = 1000  # estimator replications in each scatter
-
-
-@dataclass
-class Figure1Data:
-    scatter: Dict[str, np.ndarray]  # file stem -> (FIGURE1_N_REP, 2) coordinate pairs
-    ellipses: Dict[str, List[Tuple[str, np.ndarray]]]  # stem -> [(plane, polyline)]
-    cloud: CloudResult
-
-
-def figure1_data(model: Optional[GaussianModel] = None, seed: int = 0) -> Figure1Data:
-    """Scatter clouds of the parameter estimates with region boundaries.
-
-    One scatter per coordinate plane ``(beta0, beta1)`` and
-    ``(beta1, sigma1)``, and per confidence level in ``FIGURE1_P`` a closed
-    polyline for each projected ellipse boundary.
-    """
-    model = model if model is not None else paper_model()
-    cloud = estimator_cloud(model, FIGURE1_N_REP, seed)
-    scatter = {
-        "figure1_scatter_beta0_beta1": cloud.cloud[:, [_B0, _B1]],
-        "figure1_scatter_beta1_sigma1": cloud.cloud[:, [_B1, _S1]],
-    }
-    ellipses: Dict[str, List[Tuple[str, np.ndarray]]] = {}
-    for p in FIGURE1_P:
-        region = region_for(cloud, p)
-        polylines = []
-        for plane, coords in (("beta0_beta1", [_B0, _B1]), ("beta1_sigma1", [_B1, _S1])):
-            proj = project_region(region, coords)
-            pts = boundary_grid(proj, _M_BOUNDARY).points
-            pts = np.vstack([pts, pts[:1]])  # close the polyline
-            polylines.append((plane, pts))
-        ellipses[f"figure1_ellipse_p{p}"] = polylines
-    return Figure1Data(scatter=scatter, ellipses=ellipses, cloud=cloud)
-
-
-def figure1_csv(data: Figure1Data) -> Dict[str, str]:
-    """Render the bundle as CSV texts keyed by file name."""
-    files: Dict[str, str] = {}
-    for stem, pts in data.scatter.items():
-        x_name, y_name = stem.replace("figure1_scatter_", "").split("_", 1)
-        lines = [f"{x_name},{y_name}"]
-        lines += [f"{x!r},{y!r}" for x, y in pts]
-        files[stem + ".csv"] = "\n".join(lines) + "\n"
-    for stem, polylines in data.ellipses.items():
-        lines = ["plane,x,y"]
-        for plane, pts in polylines:
-            lines += [f"{plane},{x!r},{y!r}" for x, y in pts]
-        files[stem + ".csv"] = "\n".join(lines) + "\n"
-    return files

@@ -130,7 +130,6 @@ class OracleResult:
     inf_sup: float
     envelope: float  # one-step Snell recursion on the same payoff, for cross-check
     best_tau: np.ndarray  # tau along every terminal path
-    worst_selection: np.ndarray  # grid index per decision state
     n_stopping_times: int
     n_selections: int
     payoff_table: np.ndarray  # (n_selections, n_stopping_times)
@@ -183,7 +182,7 @@ def snell_bruteforce(
         x_levels: residual cash flow per level ``t`` (1..T).
 
     Returns the sup over stopping rules of the inf over adapted selections,
-    the inf-sup, the extremal objects and the full (selection x rule) payoff
+    the inf-sup, the optimal stopping rule and the full (selection x rule) payoff
     matrix.  Expectations are evaluated as a single terminal-weight matrix
     product: each selection contributes the path weights
     ``P(path) D_T(path)`` and each rule the terminal payoff column
@@ -214,14 +213,11 @@ def snell_bruteforce(
     table = M @ G  # (n_selections, n_rules)
     per_rule_inf = table.min(axis=0)
     best = int(np.argmax(per_rule_inf))
-    per_sel_sup = table.max(axis=1)
-    worst = int(np.argmin(per_sel_sup))
     return OracleResult(
         sup_inf=float(per_rule_inf[best]),
-        inf_sup=float(per_sel_sup[worst]),
+        inf_sup=float(table.max(axis=1).min()),
         envelope=snell_recursion(lattice, family, grid, by_level),
         best_tau=taus[best],
-        worst_selection=sels[worst],
         n_stopping_times=len(taus),
         n_selections=len(sels),
         payoff_table=table,

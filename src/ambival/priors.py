@@ -266,13 +266,12 @@ class ParamRegion:
     center: np.ndarray
     chol: np.ndarray
     radius2: float
-    dim: int
 
     def __post_init__(self) -> None:
         self.center = np.asarray(self.center, dtype=np.float64).reshape(-1)
         self.chol = np.asarray(self.chol, dtype=np.float64)
-        if self.center.shape != (self.dim,) or self.chol.shape != (self.dim, self.dim):
-            raise ValidationError("region center/Cholesky shapes inconsistent with dim")
+        if self.chol.shape != (self.dim, self.dim):
+            raise ValidationError("region Cholesky factor shape inconsistent with the center")
         if np.any(np.diag(self.chol) <= 0.0) or np.any(np.triu(self.chol, 1) != 0.0):
             raise ValidationError("Cholesky factor must be lower-triangular with positive diagonal")
         if self.radius2 < 0.0:
@@ -292,6 +291,10 @@ class ParamRegion:
         return bool(self.mahalanobis2(np.asarray(z)) <= self.radius2 + 1e-10)
 
     @property
+    def dim(self) -> int:
+        return len(self.center)
+
+    @property
     def is_point(self) -> bool:
         return self.radius2 == 0.0
 
@@ -299,19 +302,20 @@ class ParamRegion:
 def point_region(center: np.ndarray) -> ParamRegion:
     """Degenerate region containing only ``center``."""
     center = np.asarray(center, dtype=np.float64).reshape(-1)
-    return ParamRegion(center=center, chol=np.eye(len(center)), radius2=0.0, dim=len(center))
+    return ParamRegion(center=center, chol=np.eye(len(center)), radius2=0.0)
 
 
-def ellipsoid_region(mu: np.ndarray, sigma: np.ndarray, p: float, k: int) -> ParamRegion:
-    """Approximate confidence region at level ``p`` for a ``k``-dim estimate.
+def ellipsoid_region(mu: np.ndarray, sigma: np.ndarray, p: float) -> ParamRegion:
+    """Approximate confidence region at level ``p`` for a ``k = len(mu)``-dim estimate.
 
     Radius is the chi-square(``k``) quantile of ``p`` applied to the squared
     Mahalanobis distance under ``(mu, sigma)``.
     """
     mu = np.asarray(mu, dtype=np.float64).reshape(-1)
     sigma = np.asarray(sigma, dtype=np.float64)
-    if mu.shape != (k,) or sigma.shape != (k, k):
-        raise ValidationError("mu/sigma shapes inconsistent with k")
+    k = len(mu)
+    if sigma.shape != (k, k):
+        raise ValidationError("mu/sigma shapes inconsistent")
     if not 0.0 < p < 1.0:
         raise ValidationError("confidence level must lie in (0,1)")
     if np.max(np.abs(sigma - sigma.T)) > 1e-12 * max(1.0, np.max(np.abs(sigma))):
@@ -325,7 +329,7 @@ def ellipsoid_region(mu: np.ndarray, sigma: np.ndarray, p: float, k: int) -> Par
     from scipy.special import gammaincinv
 
     # the chi-square(k) quantile: twice the inverse regularized gamma function at k / 2
-    return ParamRegion(center=mu, chol=chol, radius2=float(2.0 * gammaincinv(k / 2, p)), dim=k)
+    return ParamRegion(center=mu, chol=chol, radius2=float(2.0 * gammaincinv(k / 2, p)))
 
 
 def project_region(region: ParamRegion, coords: Sequence[int]) -> ParamRegion:
@@ -348,7 +352,6 @@ def project_region(region: ParamRegion, coords: Sequence[int]) -> ParamRegion:
         center=region.center[coords],
         chol=scipy.linalg.cholesky(sub, lower=True),
         radius2=region.radius2,
-        dim=len(coords),
     )
 
 

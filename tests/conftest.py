@@ -1,4 +1,4 @@
-"""Shared fixtures: small random lattices with tilt families, table lookup."""
+"""Shared fixtures: small random lattices with tilt families, artifact readers."""
 
 from unittest import mock
 
@@ -18,6 +18,14 @@ def cell(rows, case, p, q):
         if row["case"] == case and float(row["p"]) == p and float(row["q"]) == q:
             return float(row["lower"]), float(row["upper"])
     raise KeyError((case, p, q))
+
+
+def manifest_region(path):
+    """``(mu, sigma)``: the region inputs in the ``mu_*`` and ``sigma_*`` rows of a manifest."""
+    rows = dict(line.split(" = ", 1) for line in path.read_text().splitlines())
+    mu = np.array([float(x) for x in rows["mu_0"].split()])
+    sigma = np.array([[float(x) for x in rows[f"sigma_{i}"].split()] for i in range(len(mu))])
+    return mu, sigma
 
 
 def make_lattice(rng, horizon, branching):

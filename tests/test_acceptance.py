@@ -13,7 +13,7 @@ import pytest
 from scipy.integrate import quad
 from scipy.stats import norm
 
-from ambival.cli import main
+from ambival.cli import FIGURE1_N_REP, main
 from ambival.gaussian import (
     CASE1,
     CASE2,
@@ -21,17 +21,16 @@ from ambival.gaussian import (
     GaussianStepFamily,
     case1_bounds,
     closed_form_g,
-    figure1_data,
+    estimator_cloud,
     paper_model,
     r1_closed_form,
-    region_for,
 )
 from ambival.oracle import random_suite, snell_bruteforce
-from ambival.priors import StoppingTime, density_process, paste, point_region
+from ambival.priors import StoppingTime, density_process, ellipsoid_region, paste, point_region
 from ambival.riskmeasures import AVAR, VAR, RiskMeasureSpec, apply_empirical, gaussian_c
 from ambival.scenario import AdaptedProcess, substream
 from ambival.valuation import CashFlowSpec, value_multiprior
-from conftest import cell, make_instance
+from conftest import cell, make_instance, manifest_region
 
 PAPER_TABLE1 = {
     (CASE1, 0.1, 0.10): (1.452, 1.491),
@@ -311,21 +310,30 @@ def test_criterion_7_degenerate_collapse():
     )
 
 
-def test_criterion_8_figure1_coverage():
-    data = figure1_data(seed=0)
-    rows_ok = all(pts.shape == (1000, 2) for pts in data.scatter.values())
+def test_criterion_8_figure1_coverage(tmp_path):
+    assert main(["--command", "figure1", "--seed", "0", "--out", str(tmp_path)]) == 0
+    # the scatters are the (beta0, beta1) and (beta1, sigma1) columns of this cloud
+    cloud = estimator_cloud(paper_model(), FIGURE1_N_REP, 0).cloud
+    scatter = [
+        np.loadtxt(tmp_path / f"figure1_scatter_{plane}.csv", delimiter=",", skiprows=1)
+        for plane in ("beta0_beta1", "beta1_sigma1")
+    ]
+    rows_ok = all(pts.shape == (1000, 2) for pts in scatter)
+    rows_ok &= np.array_equal(scatter[0], cloud[:, [0, 2]])
+    rows_ok &= np.array_equal(scatter[1], cloud[:, [2, 3]])
+    mu, sigma = manifest_region(tmp_path / "manifest.txt")
     coverage_ok = True
     details = []
     for p in (0.1, 0.9):
-        region = region_for(data.cloud, p)
-        inside = np.mean(region.mahalanobis2(data.cloud.cloud) <= region.radius2)
+        region = ellipsoid_region(mu, sigma, p)
+        inside = np.mean(region.mahalanobis2(cloud) <= region.radius2)
         band = 4.0 * np.sqrt(p * (1.0 - p) / 1000.0)
         coverage_ok &= abs(inside - p) <= band
         details.append(f"p={p}: {inside:.3f} (band +/-{band:.3f})")
     report(
         8,
         rows_ok and coverage_ok,
-        "scatter files carry 1000 rows; empirical coverage " + ", ".join(details),
+        "scatter files carry the 1000 rows of the cloud; empirical coverage " + ", ".join(details),
     )
 
 

@@ -14,10 +14,12 @@ import pytest
 import ambival.cli
 import ambival.gaussian
 import ambival.valuation
-from ambival.cli import COMMAND_KEYS, COMMANDS, RunConfig, main, parse_config
+from ambival.cli import COMMAND_KEYS, COMMANDS, FIGURE1_N_REP, RunConfig, main, parse_config
 from ambival.errors import ValidationError
 from ambival.gaussian import CaseConfig
+from ambival.priors import ellipsoid_region, project_region
 from ambival.riskmeasures import AVAR, RiskMeasureSpec
+from conftest import manifest_region
 
 FIELDS = [f.name for f in fields(RunConfig)]
 README = Path(__file__).parents[1] / "README.md"
@@ -337,17 +339,57 @@ class TestMain:
         assert exc.value.code == 0
         assert capsys.readouterr().out.startswith("usage: ambival")
 
-    def test_figure1_outputs(self, tmp_path):
-        rc = main(["--command", "figure1", "--out", str(tmp_path), "--seed", "2"])
+    def test_figure1_outputs(self, tmp_path, monkeypatch):
+        rc = main(["--command", "figure1", "--out", str(tmp_path / "f"), "--seed", "2"])
         assert rc == 0
-        for name in (
-            "figure1_scatter_beta0_beta1.csv",
-            "figure1_scatter_beta1_sigma1.csv",
+        assert sorted(f.name for f in (tmp_path / "f").iterdir()) == [
             "figure1_ellipse_p0.1.csv",
             "figure1_ellipse_p0.9.csv",
+            "figure1_scatter_beta0_beta1.csv",
+            "figure1_scatter_beta1_sigma1.csv",
             "manifest.txt",
-        ):
-            assert (tmp_path / name).exists()
+        ]
+
+        def bounds(*args):  # numpy scalars, as the library may return them
+            return np.float64(1.25), np.float64(1.5), None
+
+        monkeypatch.setattr(ambival.cli, "case1_bounds", bounds)
+        monkeypatch.setattr(ambival.cli, "case2_value", bounds)
+        for command in ("table1", "value"):
+            assert main(["--command", command, "--out", str(tmp_path / "t")] + SMALL) == 0
+        # every cell but a label parses as a number
+        paths = sorted(tmp_path.glob("*/*.csv"))
+        assert len(paths) == 6
+        for path in paths:
+            header, *rows = [line.split(",") for line in path.read_text().splitlines()]
+            for row in rows:
+                assert len(row) == len(header)
+                for name, text in zip(header, row):
+                    if name not in ("case", "plane"):
+                        float(text)
+        cloud = ambival.gaussian.estimator_cloud(
+            ambival.gaussian.paper_model(), FIGURE1_N_REP, 2
+        ).cloud
+        for (x, y), coords in (("beta0", "beta1"), [0, 2]), (("beta1", "sigma1"), [2, 3]):
+            path = tmp_path / "f" / f"figure1_scatter_{x}_{y}.csv"
+            assert path.read_text().startswith(f"{x},{y}\n")
+            scatter = np.array([line.split(",") for line in path.read_text().splitlines()[1:]])
+            assert scatter.shape == (1000, 2)
+            np.testing.assert_array_equal(scatter.astype(float), cloud[:, coords])
+
+    def test_figure1_ellipses_close_and_sit_on_the_boundary(self, tmp_path):
+        assert main(["--command", "figure1", "--out", str(tmp_path), "--seed", "0"]) == 0
+        mu, sigma = manifest_region(tmp_path / "manifest.txt")
+        region = ellipsoid_region(mu, sigma, 0.9)
+        header, *rows = (tmp_path / "figure1_ellipse_p0.9.csv").read_text().splitlines()
+        assert header == "plane,x,y"
+        rows = [row.split(",") for row in rows]
+        for plane, coords in (("beta0_beta1", [0, 2]), ("beta1_sigma1", [2, 3])):
+            pts = np.array([[float(x), float(y)] for name, x, y in rows if name == plane])
+            assert len(pts) == 361
+            np.testing.assert_array_equal(pts[0], pts[-1])
+            proj = project_region(region, coords)
+            np.testing.assert_allclose(proj.mahalanobis2(pts), proj.radius2, atol=1e-8)
 
     def test_figure1_byte_identical_across_runs(self, tmp_path):
         out1, out2 = tmp_path / "a", tmp_path / "b"

@@ -1,4 +1,4 @@
-"""Two-period Gaussian chain-ladder study: closed forms, searches, table and figure."""
+"""Two-period Gaussian chain-ladder study: model, estimators, closed forms and searches."""
 
 import math
 import tracemalloc
@@ -7,7 +7,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 from scipy.integrate import quad
-from scipy.stats import norm
+from scipy.stats import chi2, norm
 
 from ambival.errors import ValidationError
 from ambival.gaussian import (
@@ -24,8 +24,6 @@ from ambival.gaussian import (
     case2_value,
     closed_form_g,
     estimator_cloud,
-    figure1_csv,
-    figure1_data,
     fit_h,
     fit_params,
     paper_model,
@@ -33,7 +31,7 @@ from ambival.gaussian import (
     region_for,
     simulate_triangle,
 )
-from ambival.priors import density_process, point_region, project_region
+from ambival.priors import density_process, ellipsoid_region, point_region, project_region
 from ambival.riskmeasures import AVAR, VAR, RiskMeasureSpec, apply_empirical, gaussian_c
 from ambival.scenario import AdaptedProcess, substream
 from ambival.valuation import CashFlowSpec, value_multiprior
@@ -303,10 +301,8 @@ class TestStepFamily:
 
 class TestBoundarySearch:
     def test_linear_objective_exact_optimum(self):
-        from ambival.priors import ellipsoid_region
-
         sigma = np.diag([1.0, 4.0])
-        region = ellipsoid_region(np.array([10.0, 10.0]), sigma, 0.9, 2)
+        region = ellipsoid_region(np.array([10.0, 10.0]), sigma, 0.9)
         w = np.array([1.0, -0.5])
 
         def obj(pts):
@@ -377,6 +373,29 @@ class TestCaseBounds:
         v2, _, _ = case2_value(self.fast_cfg(), self.model, region)
         assert v2 >= lo1 - 0.005
 
+    @pytest.mark.parametrize("v0", [0.25, 4.0])
+    def test_case2_upper_is_the_expectation_under_the_statewise_extreme_beta1(self, v0):
+        # A region thin in every coordinate but beta1, whose range is [1.3, 1.7]:
+        # the bound is E[X_1 + X_2] at theta = (2/3, 0.2, 1.7) with beta1 chosen
+        # per state, 1.7 when C_{0,1} > 0 and 1.3 otherwise.  C_{0,1} has
+        # standard deviation sigma0 / sqrt(v0).
+        m = GaussianModel(
+            beta0=2.0 / 3.0, sigma0=0.2, beta1=1.5, sigma1=0.2, exposures=[1.0] * 10 + [v0]
+        )
+        var_b1 = 0.2**2 / chi2.ppf(0.5, 4)  # radius times standard deviation is 0.2
+        region = ellipsoid_region(m.theta, np.diag([1e-16, 1e-16, var_b1, 1e-16]), 0.5)
+        b1_min, b1_max = 1.3, 1.7
+        b0, sd = m.beta0, m.sigma0 / math.sqrt(v0)
+
+        def mean_c01(lo, hi):  # E[C_{0,1}; lo < eps_{0,1} < hi]
+            return quad(lambda e: (b0 + sd * e) * norm.pdf(e), lo, hi, epsabs=1e-14)[0]
+
+        e0 = -b0 / sd  # C_{0,1} = 0
+        expected = m.v_m1 * (b1_max - 1.0) * m.c_m11 + m.v0 * (
+            b1_max * mean_c01(e0, 12.0) + b1_min * mean_c01(-12.0, e0)
+        )
+        assert abs(case2_upper(m, region) - expected) < 1e-8
+
     def test_case2_upper_rejects_beta1_reaching_one(self):
         region = region_for(self.cloud, 1.0 - 1e-12)
         with pytest.raises(ValidationError, match="beta1"):
@@ -422,31 +441,3 @@ class TestHFit:
         h = fit_h(m, point_region(np.array([m.beta1, m.sigma1])), c)
         h(np.array([100.0, -100.0, m.beta0]))
         assert h.n_clamped == 2
-
-
-class TestTableAndFigure:
-    def test_figure_data_shapes(self):
-        data = figure1_data(seed=0)
-        for stem, pts in data.scatter.items():
-            assert pts.shape == (1000, 2)
-        files = figure1_csv(data)
-        assert set(files) == {
-            "figure1_scatter_beta0_beta1.csv",
-            "figure1_scatter_beta1_sigma1.csv",
-            "figure1_ellipse_p0.1.csv",
-            "figure1_ellipse_p0.9.csv",
-        }
-        scatter = files["figure1_scatter_beta0_beta1.csv"].strip().split("\n")
-        assert scatter[0] == "beta0,beta1"
-        assert len(scatter) == 1001
-
-    def test_figure_ellipses_close_and_sit_on_the_boundary(self):
-        data = figure1_data(seed=0)
-        region = region_for(data.cloud, 0.9)
-        for plane, pts in data.ellipses["figure1_ellipse_p0.9"]:
-            np.testing.assert_array_equal(pts[0], pts[-1])
-            coords = [0, 2] if plane == "beta0_beta1" else [2, 3]
-            proj = project_region(region, coords)
-            np.testing.assert_allclose(
-                proj.mahalanobis2(pts), proj.radius2, atol=1e-8
-            )

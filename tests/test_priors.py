@@ -180,7 +180,7 @@ class TestDensityProcess:
 
     def test_per_state_selection_outside_the_region_is_rejected(self, rng):
         lattice, _, family, _ = make_instance(rng, 2, 2)
-        family.region = ellipsoid_region(np.zeros(1), np.eye(1), 0.5, 1)
+        family.region = ellipsoid_region(np.zeros(1), np.eye(1), 0.5)
         inside = density_process(family, {1: 0.0, 2: [0.5, -0.5]}, lattice)
         with pytest.raises(ValidationError, match="outside the region"):
             density_process(family, {1: 0.0, 2: [0.5, 5.0]}, lattice)
@@ -244,13 +244,13 @@ class TestPasting:
 
 class TestRegions:
     def test_chi_square_radius(self):
-        region = ellipsoid_region(np.zeros(4), np.eye(4), 0.9, 4)
+        region = ellipsoid_region(np.zeros(4), np.eye(4), 0.9)
         assert abs(region.radius2 - 7.779440339734858) < 1e-12
-        region = ellipsoid_region(np.zeros(4), np.eye(4), 0.1, 4)
+        region = ellipsoid_region(np.zeros(4), np.eye(4), 0.1)
         assert abs(region.radius2 - 1.063623216779224) < 1e-12
 
     def test_membership(self):
-        region = ellipsoid_region(np.array([1.0, 2.0]), np.diag([4.0, 1.0]), 0.5, 2)
+        region = ellipsoid_region(np.array([1.0, 2.0]), np.diag([4.0, 1.0]), 0.5)
         assert region.membership(region.center)
         r = np.sqrt(region.radius2)
         on_boundary = region.center + np.array([2.0 * r, 0.0])
@@ -258,8 +258,8 @@ class TestRegions:
         assert not region.membership(region.center + np.array([2.0 * r + 0.01, 0.0]))
 
     def test_rejects_theta_of_another_dimension(self):
-        plane = ellipsoid_region(np.zeros(2), np.eye(2), 0.5, 2)
-        line = ellipsoid_region(np.zeros(1), np.eye(1), 0.5, 1)
+        plane = ellipsoid_region(np.zeros(2), np.eye(2), 0.5)
+        line = ellipsoid_region(np.zeros(1), np.eye(1), 0.5)
         for region, theta in ((plane, 0.1), (plane, [0.1, 0.1, 0.1]), (line, [0.1, 0.1])):
             with pytest.raises(ValidationError, match="coordinates"):
                 region.membership(theta)
@@ -276,13 +276,13 @@ class TestRegions:
     def test_rejects_non_positive_definite(self):
         sigma = np.array([[1.0, 2.0], [2.0, 1.0]])
         with pytest.raises(ValidationError, match="positive definite"):
-            ellipsoid_region(np.zeros(2), sigma, 0.5, 2)
+            ellipsoid_region(np.zeros(2), sigma, 0.5)
 
     def test_projection_keeps_radius_and_covariance_block(self):
         sigma = np.array(
             [[2.0, 0.3, 0.1], [0.3, 1.0, -0.2], [0.1, -0.2, 0.5]]
         )
-        region = ellipsoid_region(np.array([1.0, 2.0, 3.0]), sigma, 0.8, 3)
+        region = ellipsoid_region(np.array([1.0, 2.0, 3.0]), sigma, 0.8)
         proj = project_region(region, [0, 2])
         assert proj.radius2 == region.radius2
         np.testing.assert_allclose(proj.center, [1.0, 3.0])
@@ -293,7 +293,7 @@ class TestRegions:
     def test_projection_is_a_shadow(self, rng):
         # every region point projects into the projected region
         sigma = np.array([[1.0, 0.4], [0.4, 2.0]])
-        region = ellipsoid_region(np.array([0.5, -0.5]), sigma, 0.7, 2)
+        region = ellipsoid_region(np.array([0.5, -0.5]), sigma, 0.7)
         proj = project_region(region, [0])
         pts = boundary_grid(region, 100).points
         for z in pts:
@@ -302,14 +302,14 @@ class TestRegions:
     def test_boundary_grid_on_boundary(self):
         sigma = np.array([[1.0, 0.2, 0.0, 0.0], [0.2, 2.0, 0.1, 0.0],
                           [0.0, 0.1, 1.5, 0.3], [0.0, 0.0, 0.3, 0.8]])
-        region = ellipsoid_region(np.full(4, 10.0), sigma, 0.9, 4)
+        region = ellipsoid_region(np.full(4, 10.0), sigma, 0.9)
         grid = boundary_grid(region, 128)
         assert grid.n_dropped == 0
         m2 = region.mahalanobis2(grid.points)
         np.testing.assert_allclose(m2, region.radius2, atol=1e-10)
 
     def test_boundary_grid_two_dim_axes(self):
-        region = ellipsoid_region(np.zeros(2), np.eye(2), 0.5, 2)
+        region = ellipsoid_region(np.zeros(2), np.eye(2), 0.5)
         r = np.sqrt(region.radius2)
         pts = boundary_grid(region, 4).points
         np.testing.assert_allclose(
@@ -317,13 +317,13 @@ class TestRegions:
         )
 
     def test_boundary_grid_drops_and_fails_loudly(self):
-        region = ellipsoid_region(np.zeros(2), np.eye(2), 0.5, 2)
+        region = ellipsoid_region(np.zeros(2), np.eye(2), 0.5)
         with pytest.raises(ValidationError, match="admissibility"):
             boundary_grid(region, 100, positive=(0,))
 
     def test_boundary_refinement_improves_linear_max(self):
         sigma = np.array([[1.0, 0.3], [0.3, 2.0]])
-        region = ellipsoid_region(np.array([5.0, 5.0]), sigma, 0.9, 2)
+        region = ellipsoid_region(np.array([5.0, 5.0]), sigma, 0.9)
 
         def f(pts):
             return pts[:, 0] + 2.0 * pts[:, 1]
@@ -338,7 +338,7 @@ class TestRegions:
 
     def test_interior_grid_inside(self):
         sigma = np.array([[1.0, 0.2], [0.2, 0.5]])
-        region = ellipsoid_region(np.array([3.0, 4.0]), sigma, 0.9, 2)
+        region = ellipsoid_region(np.array([3.0, 4.0]), sigma, 0.9)
         pts = interior_grid(region, 64)
         assert len(pts) == 65  # the center plus the requested points
         assert np.all(region.mahalanobis2(pts) <= region.radius2 + 1e-10)
@@ -352,7 +352,7 @@ class TestRegions:
 def correlated_region(k):
     """A ``k``-dim region with unequal scales and correlations."""
     a = np.tril(np.full((k, k), 0.3)) + np.diag(np.arange(1.0, k + 1))
-    return ellipsoid_region(np.arange(1.0, k + 1), a @ a.T, 0.9, k)
+    return ellipsoid_region(np.arange(1.0, k + 1), a @ a.T, 0.9)
 
 
 def scipy_stats_directions(u):
@@ -368,7 +368,7 @@ class TestScipySpecialEqualsScipyStats:
     @pytest.mark.parametrize("k", [1, 2, 3, 4])
     def test_radius_is_the_chi_square_quantile(self, k):
         for p in (0.1, 0.5, 0.8, 0.9, 0.95, 0.99):
-            assert ellipsoid_region(np.zeros(k), np.eye(k), p, k).radius2 == chi2.ppf(p, k)
+            assert ellipsoid_region(np.zeros(k), np.eye(k), p).radius2 == chi2.ppf(p, k)
 
     @pytest.mark.parametrize("m", [64, 360, 512, 4096])
     @pytest.mark.parametrize("k", [3, 4, 5])

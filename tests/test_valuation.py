@@ -351,7 +351,7 @@ class TestRecursion:
         from ambival.priors import ellipsoid_region
 
         lattice, payload, family, _ = make_instance(rng, 1, 3)
-        family.region = ellipsoid_region(np.zeros(1), np.eye(1), 0.5, 1)  # radius 0.67
+        family.region = ellipsoid_region(np.zeros(1), np.eye(1), 0.5)  # radius 0.67
         fn = {"value_multiprior": value_multiprior, "lower_bound": lower_bound}[bound]
         with pytest.raises(ValidationError, match="outside the parameter region"):
             fn(make_cf(payload), RiskMeasureSpec(VAR, 0.1), family, [0.0, 5.0], lattice)
@@ -420,11 +420,12 @@ class TestAxioms:
 
 
 class TestBounds:
-    def test_sandwich_on_random_lattices(self, rng):
+    @pytest.mark.parametrize("kind", [VAR, AVAR])
+    def test_sandwich_on_random_lattices(self, rng, kind):
         for trial in range(20):
             lattice, payload, family, grid = make_instance(rng, 2, 2)
             cf = make_cf(payload)
-            rm = RiskMeasureSpec(VAR, 0.1)
+            rm = RiskMeasureSpec(kind, 0.1)
             out = value_multiprior(cf, rm, family, grid, lattice)
             lo, arg = lower_bound(cf, rm, family, grid, lattice)
             hi = rectangular_upper(lattice, family, grid, cf)
