@@ -14,7 +14,7 @@ import pytest
 import ambival.cli
 import ambival.gaussian
 import ambival.valuation
-from ambival.cli import COMMAND_KEYS, COMMANDS, FIGURE1_N_REP, RunConfig, main, parse_config
+from ambival.cli import COMMAND_KEYS, COMMANDS, RunConfig, main, parse_config
 from ambival.errors import ValidationError
 from ambival.gaussian import CaseConfig
 from ambival.priors import ellipsoid_region, project_region
@@ -367,15 +367,6 @@ class TestMain:
                 for name, text in zip(header, row):
                     if name not in ("case", "plane"):
                         float(text)
-        cloud = ambival.gaussian.estimator_cloud(
-            ambival.gaussian.paper_model(), FIGURE1_N_REP, 2
-        ).cloud
-        for (x, y), coords in (("beta0", "beta1"), [0, 2]), (("beta1", "sigma1"), [2, 3]):
-            path = tmp_path / "f" / f"figure1_scatter_{x}_{y}.csv"
-            assert path.read_text().startswith(f"{x},{y}\n")
-            scatter = np.array([line.split(",") for line in path.read_text().splitlines()[1:]])
-            assert scatter.shape == (1000, 2)
-            np.testing.assert_array_equal(scatter.astype(float), cloud[:, coords])
 
     def test_figure1_ellipses_close_and_sit_on_the_boundary(self, tmp_path):
         assert main(["--command", "figure1", "--out", str(tmp_path), "--seed", "0"]) == 0

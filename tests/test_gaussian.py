@@ -9,6 +9,7 @@ import pytest
 from scipy.integrate import quad
 from scipy.stats import chi2, norm
 
+from ambival.cli import FIGURE1_N_REP, main
 from ambival.errors import ValidationError
 from ambival.gaussian import (
     _CLOUD_BLOCK,
@@ -441,3 +442,17 @@ class TestHFit:
         h = fit_h(m, point_region(np.array([m.beta1, m.sigma1])), c)
         h(np.array([100.0, -100.0, m.beta0]))
         assert h.n_clamped == 2
+
+
+class TestTableAndFigure:
+    def test_figure_data_shapes(self, tmp_path):
+        # Figure 1 is built by the CLI's figure1 command; its scatters are
+        # columns of the estimator cloud drawn with the same seed.
+        assert main(["--command", "figure1", "--out", str(tmp_path), "--seed", "2"]) == 0
+        cloud = estimator_cloud(paper_model(), FIGURE1_N_REP, 2).cloud
+        for (x, y), coords in (("beta0", "beta1"), [0, 2]), (("beta1", "sigma1"), [2, 3]):
+            text = (tmp_path / f"figure1_scatter_{x}_{y}.csv").read_text()
+            assert text.startswith(f"{x},{y}\n")
+            scatter = np.array([line.split(",") for line in text.splitlines()[1:]])
+            assert scatter.shape == (1000, 2)
+            np.testing.assert_array_equal(scatter.astype(float), cloud[:, coords])
