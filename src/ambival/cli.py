@@ -265,7 +265,7 @@ def _cmd_oracle_check(cfg: RunConfig, out_dir: Path) -> None:
         rm = RiskMeasureSpec(AVAR if i % 2 else VAR, 0.1)
         out = value_multiprior(cf, rm, family, grid, lattice)
         # validates the density process of every grid point on the way
-        res = snell_bruteforce(lattice, family, grid, out.R, payload, cap=2 * 10**6)
+        res = snell_bruteforce(lattice, family, grid, out.R, payload)
         worst = max(
             worst,
             abs(res.sup_inf - out.c0),

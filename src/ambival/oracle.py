@@ -25,7 +25,7 @@ from .priors import DensityFamily, ExponentialTiltFamily, density_process
 from .scenario import AdaptedProcess, ScenarioLattice, build_lattice
 from .valuation import payoff_process
 
-DEFAULT_CAP = 10**6
+DEFAULT_CAP = 2 * 10**6
 
 
 def count_stopping_times(lattice: ScenarioLattice) -> int:
@@ -112,7 +112,7 @@ def selection_densities(
     selection's factor at a node is the factor of the grid point chosen at
     its parent, so every level is one gather from the grid's factor table.
     """
-    per_theta = [density_process(family, theta, lattice) for theta in grid]
+    per_theta = [density_process(family, grid, k, lattice) for k in range(len(grid))]
     d = np.ones((len(codes), 1))
     start = 0
     for t in range(1, lattice.horizon + 1):

@@ -3,8 +3,10 @@
 A measure change away from the base measure is encoded as a positive
 martingale built from one-step factors ``f_t(theta)``: each factor is known at
 time ``t``, strictly positive, and has conditional mean 1 given time ``t - 1``.
-Adapted parameter selections (one theta per time, possibly state-dependent)
-generate the rectangular hull of the parametric family; pasting two density
+Adapted parameter choices generate the rectangular hull of the parametric
+family.  A choice picks points of a parameter grid by index: one index for
+every state, or per decision level ``t`` one index per time-``t`` node, the
+layout of the engine's worst-case ``theta_star``.  Pasting two density
 processes at a stopping time stays inside that hull.
 
 Parameter uncertainty is described by ellipsoidal regions with a chi-square
@@ -15,7 +17,7 @@ radius) and deterministic boundary/interior grids.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
+from typing import Any, Dict, List, Optional, Sequence, Union
 
 import numpy as np
 
@@ -163,69 +165,51 @@ class DensityProcess:
         return float(np.dot(self.lattice.path_probs(t), self.values[t]))
 
 
-Selection = Union[Any, Dict[int, Any]]
-
-
-def _selection_rows(
-    lattice: ScenarioLattice, selection: Selection, t: int
-) -> Tuple[List[Any], np.ndarray]:
-    """Distinct thetas of the step-``t`` factor and a row index per time-``t - 1`` node."""
-    n_prev = lattice.n_nodes(t - 1)
-    if isinstance(selection, dict):
-        if t not in selection:
-            raise ValidationError(f"selection missing period {t}")
-        entry = selection[t]
-    else:
-        entry = selection
-    # Per-state (rectangular) choices are given as a list indexed by the
-    # time-(t - 1) nodes; any other type is a single theta used at all states.
-    if not isinstance(entry, list):
-        return [entry], np.zeros(n_prev, dtype=np.int64)
-    if len(entry) != n_prev:
-        raise ValidationError(
-            f"selection at period {t} has {len(entry)} entries; an adapted "
-            f"choice must read only the {n_prev} time-{t - 1} states"
-        )
-    rows: Dict[Any, int] = {}
-    thetas: List[Any] = []
-    idx = np.empty(n_prev, dtype=np.int64)
-    for j, th in enumerate(entry):
-        try:
-            key = th
-            hash(key)
-        except TypeError:
-            key = id(th)
-        if key not in rows:
-            rows[key] = len(thetas)
-            thetas.append(th)
-        idx[j] = rows[key]
-    return thetas, idx
-
-
 def density_process(
-    family: DensityFamily, selection: Selection, lattice: ScenarioLattice
+    family: DensityFamily,
+    grid: Sequence[Any],
+    choice: Union[int, Dict[int, Any]],
+    lattice: ScenarioLattice,
 ) -> DensityProcess:
-    """Density process of an adapted parameter selection.
+    """Density process of an adapted choice of grid points.
 
-    ``selection`` is a constant theta, a per-period dict of thetas, or a
-    per-period dict of per-state theta lists indexed by time-``t - 1`` nodes
-    (the rectangular-hull case).  Each distinct theta is checked against the
-    region once per period; its factors form one row of a table, and the
-    step-``t`` factor is one gather ``table[idx[parents[t]], arange(n_t)]``.
+    ``choice`` is one index into ``grid`` used at every state, or a dict
+    that maps each decision level ``t = 0..T-1`` to one grid index per
+    time-``t`` node (the rectangular-hull case).  That is the layout of
+    ``ValuationOutput.theta_star``, so ``density_process(family, grid,
+    out.theta_star, lattice)`` is the engine's worst-case density process.
+    Each chosen grid point is checked against the region once per period;
+    its step-``t + 1`` factors form one row of a table, and the step factor
+    is one gather from that table (or that row, if only one point is chosen).
     """
-    periods = range(1, lattice.horizon + 1)
-    if isinstance(selection, dict) and not set(selection) <= set(periods):
-        raise ValidationError(f"selection periods must lie in 1..{lattice.horizon}")
+    T = lattice.horizon
+    constant = not isinstance(choice, dict)
+    if constant:
+        choice = dict.fromkeys(range(T), choice)
+    elif set(choice) != set(range(T)):
+        raise ValidationError(f"a choice needs the levels 0..{T - 1}, got {sorted(choice)}")
     factors = []
-    for t in periods:
-        thetas, idx = _selection_rows(lattice, selection, t)
+    for t in range(T):
+        idx = np.asarray(choice[t])
+        shape = () if constant else (lattice.n_nodes(t),)
+        if idx.shape != shape or idx.dtype.kind not in "iu":
+            raise ValidationError(
+                f"choice at level {t} is {idx.dtype} of shape {idx.shape}: an adapted choice is "
+                f"one grid index, or per level one per time-{t} state ({lattice.n_nodes(t)})"
+            )
+        rows = sorted(set(idx.ravel().tolist()))  # the chosen grid indices
+        if rows[0] < 0 or rows[-1] >= len(grid):
+            raise ValidationError(f"choice at level {t} indexes past a {len(grid)}-point grid")
         table = []
-        for th in thetas:
-            if family.region is not None and not family.region.membership(th):
-                raise ValidationError(f"selected theta {th!r} outside the region")
-            table.append(np.asarray(family.factors(t, th), dtype=np.float64))
-        nodes = np.arange(lattice.n_nodes(t))
-        factors.append(np.stack(table)[idx[lattice.parents[t]], nodes])
+        for k in rows:
+            if family.region is not None and not family.region.membership(grid[k]):
+                raise ValidationError(f"chosen theta {grid[k]!r} outside the region")
+            table.append(np.asarray(family.factors(t + 1, grid[k]), dtype=np.float64))
+        if len(rows) == 1:
+            factors.append(table[0])
+        else:
+            row = np.searchsorted(rows, idx[lattice.parents[t + 1]])
+            factors.append(np.stack(table)[row, np.arange(lattice.n_nodes(t + 1))])
     return DensityProcess(lattice=lattice, factors=factors)
 
 
@@ -277,18 +261,22 @@ class ParamRegion:
         if self.radius2 < 0.0:
             raise ValidationError("squared radius must be nonnegative")
 
-    def mahalanobis2(self, z: np.ndarray) -> np.ndarray:
-        z = np.atleast_2d(np.asarray(z, dtype=np.float64))
-        if z.shape[-1] != self.dim:
-            raise ValidationError(f"theta has {z.shape[-1]} coordinates, not {self.dim}")
+    def mahalanobis2(self, z: np.ndarray) -> Union[float, np.ndarray]:
+        """Squared Mahalanobis distance: a float for a point, one per row of a 2-D batch."""
+        z = np.asarray(z, dtype=np.float64)
+        pts = np.atleast_2d(z)
+        if z.ndim > 2 or pts.shape[-1] != self.dim:
+            raise ValidationError(
+                f"theta of shape {z.shape} is not a point or a 2-D batch with {self.dim} coordinates"
+            )
         import scipy.linalg
 
-        y = scipy.linalg.solve_triangular(self.chol, (z - self.center).T, lower=True)
+        y = scipy.linalg.solve_triangular(self.chol, (pts - self.center).T, lower=True)
         out = np.sum(y * y, axis=0)
-        return out if out.size > 1 else out[0]
+        return out if z.ndim == 2 else float(out[0])
 
     def membership(self, z: np.ndarray) -> bool:
-        return bool(self.mahalanobis2(np.asarray(z)) <= self.radius2 + 1e-10)
+        return bool(self.mahalanobis2(z) <= self.radius2 + 1e-10)
 
     @property
     def dim(self) -> int:
@@ -316,6 +304,8 @@ def ellipsoid_region(mu: np.ndarray, sigma: np.ndarray, p: float) -> ParamRegion
     k = len(mu)
     if sigma.shape != (k, k):
         raise ValidationError("mu/sigma shapes inconsistent")
+    if not (np.all(np.isfinite(mu)) and np.all(np.isfinite(sigma))):
+        raise ValidationError("region mean and covariance must be finite")
     if not 0.0 < p < 1.0:
         raise ValidationError("confidence level must lie in (0,1)")
     if np.max(np.abs(sigma - sigma.T)) > 1e-12 * max(1.0, np.max(np.abs(sigma))):
@@ -339,11 +329,9 @@ def project_region(region: ParamRegion, coords: Sequence[int]) -> ParamRegion:
     the shadow of the original region, described by the sub-vector of the
     center and the Cholesky factor of the covariance sub-block.
     """
-    coords = list(coords)
-    if len(coords) == 0:
-        raise ValidationError("coordinate subset must be nonempty")
-    if any(c < 0 or c >= region.dim for c in coords):
-        raise ValidationError("coordinate index out of range")
+    coords = _coordinates(region, coords, "projection")
+    if len(coords) == 0 or len(set(coords)) != len(coords):
+        raise ValidationError(f"projection coordinates {coords} must be distinct and nonempty")
     import scipy.linalg
 
     sigma = region.chol @ region.chol.T
@@ -353,6 +341,14 @@ def project_region(region: ParamRegion, coords: Sequence[int]) -> ParamRegion:
         chol=scipy.linalg.cholesky(sub, lower=True),
         radius2=region.radius2,
     )
+
+
+def _coordinates(region: ParamRegion, coords: Sequence[int], what: str) -> List[int]:
+    """``coords`` as a list, each checked to index a coordinate of ``region``."""
+    coords = list(coords)
+    if any(not 0 <= c < region.dim for c in coords):
+        raise ValidationError(f"{what} coordinates {coords} out of range for {region.dim} dims")
+    return coords
 
 
 @dataclass
@@ -420,6 +416,7 @@ def boundary_grid(
     """
     if m < 2:
         raise ValidationError("boundary resolution must be at least 2")
+    positive = _coordinates(region, positive, "positive")
     if region.is_point:
         return BoundaryGrid(points=region.center[None, :], n_dropped=0)
     s = _sphere_points(region.dim, m)
@@ -437,6 +434,7 @@ def boundary_grid(
 
 def interior_grid(region: ParamRegion, m: int, positive: Sequence[int] = ()) -> np.ndarray:
     """Deterministic low-discrepancy grid of interior points (center included)."""
+    positive = _coordinates(region, positive, "positive")
     if region.is_point:
         return region.center[None, :]
     k = region.dim

@@ -274,7 +274,7 @@ def expected_total_cashflow(
     cf: CashFlowSpec, family: DensityFamily, theta: Any, lattice: ScenarioLattice
 ) -> float:
     """``E`` under the constant-``theta`` prior of the total residual cash flow."""
-    d = density_process(family, theta, lattice)
+    d = density_process(family, [theta], 0, lattice)
     total = 0.0
     for t in range(1, lattice.horizon + 1):
         total += float(np.dot(lattice.path_probs(t) * d.values[t], cf.x(t)))

@@ -66,14 +66,10 @@ def ragged_selections(draw):
     return lattice, ExponentialTiltFamily(lattice, scores), grid, codes
 
 
-def per_state_dict(lattice, grid, code):
-    """One selection row as ``density_process`` reads it: period -> theta per state."""
-    sel, start = {}, 0
-    for t in range(1, lattice.horizon + 1):
-        stop = start + lattice.n_nodes(t - 1)
-        sel[t] = [grid[i] for i in code[start:stop]]
-        start = stop
-    return sel
+def level_choice(lattice, code):
+    """One oracle selection row cut by decision level, as ``density_process`` reads it."""
+    cuts = np.cumsum([lattice.n_nodes(t) for t in range(lattice.horizon - 1)])
+    return dict(enumerate(np.split(code, cuts)))
 
 
 @pytest.fixture

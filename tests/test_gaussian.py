@@ -287,7 +287,7 @@ class TestStepFamily:
         m = paper_model()
         fam = GaussianStepFamily(m)
         with pytest.raises(ValidationError, match="GaussianStepFamily has no lattice factors"):
-            density_process(fam, m.theta, binomial_lattice)
+            density_process(fam, [m.theta], 0, binomial_lattice)
         cf = CashFlowSpec(
             liability=AdaptedProcess(name="X", values={1: np.zeros(2), 2: np.zeros(4)})
         )

@@ -13,11 +13,11 @@ from ambival.oracle import (
     selection_densities,
     snell_bruteforce,
 )
-from ambival.priors import density_process
+from ambival.priors import ExponentialTiltFamily, density_process
 from ambival.riskmeasures import AVAR, VAR, RiskMeasureSpec
 from ambival.scenario import AdaptedProcess, StoppingTime, build_lattice
 from ambival.valuation import CashFlowSpec, value_multiprior
-from conftest import make_instance, per_state_dict, ragged_selections
+from conftest import level_choice, make_instance, ragged_selections
 
 
 def chain_lattice(horizon):
@@ -87,8 +87,13 @@ class TestEnumeratedObjects:
         sels = enumerate_selections(binomial_lattice, grid)
         # selection 5 = 1 + 0 * 2 + 1 * 4: digits per state, least significant first
         np.testing.assert_array_equal(sels[5], [1, 0, 1])
-        sel = per_state_dict(binomial_lattice, grid, sels[5])
-        assert sel == {1: [20.0], 2: [10.0, 20.0]}
+        choice = level_choice(binomial_lattice, sels[5])
+        assert {t: c.tolist() for t, c in choice.items()} == {0: [1], 1: [0, 1]}
+        # density_process reads the row in the same layout: level, then node
+        family = ExponentialTiltFamily(binomial_lattice, [0.0, [0.1, -0.1], [0.1, -0.1, 0.2, 0.0]])
+        d = density_process(family, grid, {0: [1], 1: [0, 1]}, binomial_lattice)
+        batch = selection_densities(binomial_lattice, family, grid, sels[5:6])
+        assert batch[0].tobytes() == d.values[2].tobytes()
 
     @settings(max_examples=100, deadline=None)
     @given(ragged_selections())
@@ -96,7 +101,7 @@ class TestEnumeratedObjects:
         lattice, family, grid, codes = problem
         batch = selection_densities(lattice, family, grid, codes)
         for code, row in zip(codes, batch):
-            d = density_process(family, per_state_dict(lattice, grid, code), lattice)
+            d = density_process(family, grid, level_choice(lattice, code), lattice)
             assert row.tobytes() == d.values[lattice.horizon].tobytes()
 
 
@@ -114,9 +119,7 @@ class TestBruteForce:
             lattice, payload, family, grid = make_instance(rng, *shape, grid=grid_vals)
             rm = RiskMeasureSpec(AVAR if trial % 2 else VAR, 0.1)
             cf, out = self.payoff_inputs(rng, lattice, payload, family, grid, rm)
-            res = snell_bruteforce(
-                lattice, family, grid, out.R, payload, cap=2 * 10**6
-            )
+            res = snell_bruteforce(lattice, family, grid, out.R, payload)
             worst = max(
                 worst,
                 abs(res.sup_inf - out.c0),

@@ -20,7 +20,7 @@ from ambival.priors import (
 )
 from ambival.scenario import StoppingTime
 from ambival.valuation import worst_case_cond_exp
-from conftest import make_instance, per_state_dict, ragged_selections, reblocked
+from conftest import level_choice, make_instance, ragged_selections, reblocked
 
 
 class ExplicitFactorFamily(DensityFamily):
@@ -31,6 +31,16 @@ class ExplicitFactorFamily(DensityFamily):
 
     def factors(self, t, theta):
         return self.tables[theta][t - 1]
+
+
+class SummedTiltFamily(DensityFamily):
+    """Two-parameter family: the tilt of ``theta[0] + theta[1]``."""
+
+    def __init__(self, tilt):
+        self.tilt = tilt
+
+    def factors(self, t, theta):
+        return self.tilt.factors(t, theta[0] + theta[1])
 
 
 class TestWeights:
@@ -69,7 +79,7 @@ class TestWeights:
 class TestDensityProcess:
     def test_zero_tilt_is_identity(self, rng):
         lattice, _, family, _ = make_instance(rng, 2, 3)
-        d = density_process(family, 0.0, lattice)
+        d = density_process(family, [0.0], 0, lattice)
         for t in range(3):
             np.testing.assert_allclose(d.values[t], 1.0, atol=1e-14)
 
@@ -77,7 +87,7 @@ class TestDensityProcess:
         family = ExplicitFactorFamily(
             {"a": [np.array([1.2, 0.8]), np.array([0.9, 1.1, 0.9, 1.1])]}
         )
-        d = density_process(family, "a", binomial_lattice)
+        d = density_process(family, ["a"], 0, binomial_lattice)
         np.testing.assert_allclose(d.values[2], [1.08, 1.32, 0.72, 0.88])
         assert abs(d.expectation(2) - 1.0) < 1e-14
         np.testing.assert_allclose(d.ratio(2), [0.9, 1.1, 0.9, 1.1])
@@ -85,8 +95,8 @@ class TestDensityProcess:
     def test_martingale_and_positivity_hold(self, rng):
         for trial in range(10):
             lattice, _, family, grid = make_instance(rng, 2, 2)
-            for theta in grid:
-                d = density_process(family, theta, lattice)
+            for k in range(len(grid)):
+                d = density_process(family, grid, k, lattice)
                 for t in range(lattice.horizon + 1):
                     assert np.all(d.values[t] > 0.0)
                     assert abs(d.expectation(t) - 1.0) < 1e-12
@@ -106,7 +116,7 @@ class TestDensityProcess:
         family = ExponentialTiltFamily(binomial_lattice, [0.0, [800.0, 801.0], 0.0])
         with np.errstate(over="ignore", invalid="ignore"):
             with pytest.raises(ValidationError, match="not positive at level 1"):
-                density_process(family, 1.0, binomial_lattice)
+                density_process(family, [1.0], 0, binomial_lattice)
 
     def test_explicit_weights_by_block(self, binomial_lattice):
         # the default weights slice the whole-level factors per block
@@ -131,13 +141,13 @@ class TestDensityProcess:
     @given(ragged_selections())
     def test_per_state_values_are_the_node_by_node_product(self, problem):
         lattice, family, grid, codes = problem
-        sel = per_state_dict(lattice, grid, codes[0])
-        d = density_process(family, sel, lattice)
+        choice = level_choice(lattice, codes[0])
+        d = density_process(family, grid, choice, lattice)
         expected = np.ones(1)
         for t in range(1, lattice.horizon + 1):
             level = np.empty(lattice.n_nodes(t))
             for i, parent in enumerate(lattice.parents[t]):
-                level[i] = expected[parent] * family.factors(t, sel[t][parent])[i]
+                level[i] = expected[parent] * family.factors(t, grid[choice[t - 1][parent]])[i]
             expected = level
             assert d.values[t].tobytes() == expected.tobytes()
 
@@ -150,9 +160,9 @@ class TestDensityProcess:
             family.factors(1, theta)
         with pytest.raises(ValidationError, match="scalar"):
             family.weights(1, theta)
-        if not isinstance(theta, list):  # a list is a per-state choice
-            with pytest.raises(ValidationError, match="scalar"):
-                density_process(family, {1: 0.0, 2: theta}, lattice)
+        # a grid point is one theta, whatever its type
+        with pytest.raises(ValidationError, match="scalar"):
+            density_process(family, [0.0, theta], {0: [0], 1: [1, 1]}, lattice)
 
     def test_tilt_rejects_scores_of_another_length(self, binomial_lattice):
         with pytest.raises(ValidationError, match=r"level 2 has shape \(3,\), not \(4,\)"):
@@ -170,43 +180,73 @@ class TestDensityProcess:
 
     def test_per_state_selection(self, rng):
         lattice, _, family, grid = make_instance(rng, 2, 2)
-        sel = {1: grid[0], 2: [grid[1], grid[2]]}
-        d = density_process(family, sel, lattice)
+        d = density_process(family, grid, {0: [0], 1: [1, 2]}, lattice)
+        np.testing.assert_array_equal(d.ratio(1), family.factors(1, grid[0]))
         # the period-2 factor under each time-1 node matches its own theta
         for j, theta in enumerate([grid[1], grid[2]]):
             f = family.factors(2, theta)
             idx = lattice.children(1, j)
-            np.testing.assert_allclose(d.ratio(2)[idx], f[idx])
+            np.testing.assert_array_equal(d.ratio(2)[idx], f[idx])
 
     def test_per_state_selection_outside_the_region_is_rejected(self, rng):
         lattice, _, family, _ = make_instance(rng, 2, 2)
         family.region = ellipsoid_region(np.zeros(1), np.eye(1), 0.5)
-        inside = density_process(family, {1: 0.0, 2: [0.5, -0.5]}, lattice)
+        # only the chosen grid points are checked
+        grid = [0.0, 0.5, -0.5, 5.0]
+        inside = density_process(family, grid, {0: [0], 1: [1, 2]}, lattice)
         with pytest.raises(ValidationError, match="outside the region"):
-            density_process(family, {1: 0.0, 2: [0.5, 5.0]}, lattice)
+            density_process(family, grid, {0: [0], 1: [1, 3]}, lattice)
         family.region = None
-        free = density_process(family, {1: 0.0, 2: [0.5, -0.5]}, lattice)
+        free = density_process(family, grid, {0: [0], 1: [1, 2]}, lattice)
         for a, b in zip(inside.values, free.values):
             np.testing.assert_array_equal(a, b)
 
     def test_per_state_selection_must_be_adapted(self, rng):
         lattice, _, family, grid = make_instance(rng, 2, 2)
         with pytest.raises(ValidationError, match="adapted"):
-            density_process(family, {1: grid[0], 2: [0.1, 0.2, 0.3, 0.4]}, lattice)
+            density_process(family, grid, {0: [0], 1: [0, 1, 2, 0]}, lattice)
 
     def test_rejects_periods_outside_the_horizon(self, rng):
-        lattice, _, family, _ = make_instance(rng, 2, 2)
-        for extra in (0, 3, 5):
-            with pytest.raises(ValidationError, match=r"periods must lie in 1..2"):
-                density_process(family, {1: 0.0, 2: 0.0, extra: 3.0}, lattice)
+        lattice, _, family, grid = make_instance(rng, 2, 2)
+        for extra in (-1, 2, 5):
+            with pytest.raises(ValidationError, match=r"levels 0..1"):
+                density_process(family, grid, {0: [0], 1: [0, 0], extra: [1]}, lattice)
+        with pytest.raises(ValidationError, match=r"levels 0..1, got \[1\]"):
+            density_process(family, grid, {1: 0}, lattice)
+
+    @pytest.mark.parametrize(
+        "choice", [0.0, True, [0], [0, 1], {0: 0, 1: [0, 1]}, {0: [0], 1: [0.0, 1.0]}]
+    )
+    def test_rejects_a_choice_that_is_not_grid_indices(self, rng, choice):
+        lattice, _, family, grid = make_instance(rng, 2, 2)
+        with pytest.raises(ValidationError, match="one grid index"):
+            density_process(family, grid, choice, lattice)
+
+    @pytest.mark.parametrize("choice", [3, -1, {0: [0], 1: [2, 3]}])
+    def test_rejects_an_index_past_the_grid(self, rng, choice):
+        lattice, _, family, grid = make_instance(rng, 2, 2)
+        with pytest.raises(ValidationError, match="past a 3-point grid"):
+            density_process(family, grid, choice, lattice)
+
+    def test_a_grid_point_given_as_a_list_is_one_theta(self, rng):
+        lattice, _, tilt, _ = make_instance(rng, 2, 2)
+        family = SummedTiltFamily(tilt)
+        family.region = ellipsoid_region(np.zeros(2), np.eye(2), 0.5)
+        grid = [[0.1, 0.2], (0.3, -0.1)]
+        d = density_process(family, grid, {0: [0], 1: [0, 1]}, lattice)
+        expected = density_process(tilt, [0.1 + 0.2, 0.3 + -0.1], {0: [0], 1: [0, 1]}, lattice)
+        for a, b in zip(d.values, expected.values):
+            assert a.tobytes() == b.tobytes()
+        with pytest.raises(ValidationError, match="outside the region"):
+            density_process(family, [[0.1, 2.0]], 0, lattice)
 
 
 class TestPasting:
     def test_pasted_process_is_valid_and_spliced(self, rng):
         for trial in range(10):
             lattice, _, family, grid = make_instance(rng, 2, 2)
-            d1 = density_process(family, grid[0], lattice)
-            d2 = density_process(family, grid[2], lattice)
+            d1 = density_process(family, grid, 0, lattice)
+            d2 = density_process(family, grid, 2, lattice)
             stopped = [
                 np.array([False]),
                 rng.random(2) < 0.5,
@@ -227,8 +267,8 @@ class TestPasting:
 
     def test_paste_at_horizon_returns_first(self, rng):
         lattice, _, family, grid = make_instance(rng, 2, 2)
-        d1 = density_process(family, grid[0], lattice)
-        d2 = density_process(family, grid[1], lattice)
+        d1 = density_process(family, grid, 0, lattice)
+        d2 = density_process(family, grid, 1, lattice)
         tau = StoppingTime.constant(lattice, lattice.horizon)
         d = paste(d1, d2, tau)
         for t in range(3):
@@ -236,7 +276,7 @@ class TestPasting:
 
     def test_paste_rejects_unbounded_stopping_time(self, rng):
         lattice, _, family, grid = make_instance(rng, 2, 2)
-        d1 = density_process(family, grid[0], lattice)
+        d1 = density_process(family, grid, 0, lattice)
         tau = StoppingTime.constant(lattice, lattice.horizon + 1)
         with pytest.raises(ValidationError, match="bounded"):
             paste(d1, d1, tau)
@@ -266,6 +306,38 @@ class TestRegions:
             with pytest.raises(ValidationError, match="coordinates"):
                 region.mahalanobis2(np.atleast_2d(theta))
         assert plane.membership([0.1, 0.1]) and line.membership(0.1)
+
+    def test_mahalanobis2_is_a_scalar_per_point_and_an_array_per_batch(self):
+        region = ellipsoid_region(np.zeros(3), np.diag([1.0, 4.0, 9.0]), 0.5)
+        assert region.mahalanobis2(np.array([1.0, 2.0, 3.0])) == 3.0
+        one = region.mahalanobis2(np.zeros((1, 3)))
+        assert isinstance(one, np.ndarray) and one.shape == (1,) and one[0] == 0.0
+        two = region.mahalanobis2(np.array([[1.0, 0.0, 0.0], [0.0, 0.0, 3.0]]))
+        np.testing.assert_array_equal(two, [1.0, 1.0])
+        with pytest.raises(ValidationError, match="2-D batch"):
+            region.mahalanobis2(np.zeros((1, 1, 3)))
+        assert region.membership(np.zeros((1, 3)))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_rejects_a_non_finite_mean_or_covariance(self, bad):
+        with pytest.raises(ValidationError, match="must be finite"):
+            ellipsoid_region(np.array([0.0, bad]), np.eye(2), 0.5)
+        with pytest.raises(ValidationError, match="must be finite"):
+            ellipsoid_region(np.zeros(2), np.array([[1.0, bad], [bad, 1.0]]), 0.5)
+
+    @pytest.mark.parametrize("coords", [[0, 0], [], [0, 3], [-1]])
+    def test_projection_rejects_bad_coordinates(self, coords):
+        region = ellipsoid_region(np.zeros(3), np.eye(3), 0.5)
+        with pytest.raises(ValidationError, match=r"projection coordinates"):
+            project_region(region, coords)
+
+    @pytest.mark.parametrize("positive", [(5,), (-1,), (0, 3)])
+    def test_grids_reject_positive_coordinates_out_of_range(self, positive):
+        for region in (ellipsoid_region(np.ones(3), np.eye(3), 0.5), point_region(np.ones(3))):
+            with pytest.raises(ValidationError, match="positive coordinates .* out of range"):
+                boundary_grid(region, 8, positive=positive)
+            with pytest.raises(ValidationError, match="positive coordinates .* out of range"):
+                interior_grid(region, 8, positive=positive)
 
     def test_point_region(self):
         region = point_region(np.array([1.0, 2.0, 3.0]))

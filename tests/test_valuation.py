@@ -8,8 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ambival.errors import NumericalError, ValidationError
-from ambival.oracle import snell_bruteforce
-from ambival.priors import DensityFamily, ExponentialTiltFamily
+from ambival.oracle import random_suite, snell_bruteforce
+from ambival.priors import DensityFamily, ExponentialTiltFamily, density_process
 from ambival.riskmeasures import AVAR, VAR, RiskMeasureSpec, apply_discrete
 from ambival.scenario import AdaptedProcess, ScenarioLattice, build_lattice
 from ambival.valuation import (
@@ -439,6 +439,22 @@ class TestBounds:
         hi_const = upper_bound(cf, family, grid, lattice)
         hi_rect = rectangular_upper(lattice, family, grid, cf)
         assert hi_const <= hi_rect + 1e-12
+
+
+class TestWorstCaseChoice:
+    @pytest.mark.parametrize("kind", [VAR, AVAR])
+    def test_theta_star_is_a_choice_that_attains_c(self, kind):
+        # the engine's selection, read as a choice, reprices every C_t
+        for lattice, payload, family, grid in random_suite(5, 40):
+            cf = make_cf(payload)
+            out = value_multiprior(cf, RiskMeasureSpec(kind, 0.1), family, grid, lattice)
+            d = density_process(family, grid, out.theta_star, lattice)
+            for t in range(lattice.horizon):
+                surplus = out.R[t][lattice.parents[t + 1]] - cf.x(t + 1) - out.V[t + 1]
+                c = lattice.cond_sum(
+                    t, lattice.probs[t + 1] * d.ratio(t + 1) * np.maximum(surplus, 0.0)
+                )
+                np.testing.assert_allclose(c, out.C[t], rtol=0.0, atol=1e-12)
 
 
 class TestDefaultTimes:
