@@ -180,7 +180,7 @@ def density_process(
     out.theta_star, lattice)`` is the engine's worst-case density process.
     Each chosen grid point is checked against the region once per period;
     its step-``t + 1`` factors form one row of a table, and the step factor
-    is one gather from that table (or that row, if only one point is chosen).
+    is one gather from that table.
     """
     T = lattice.horizon
     constant = not isinstance(choice, dict)
@@ -190,13 +190,16 @@ def density_process(
         raise ValidationError(f"a choice needs the levels 0..{T - 1}, got {sorted(choice)}")
     factors = []
     for t in range(T):
-        idx = np.asarray(choice[t])
         shape = () if constant else (lattice.n_nodes(t),)
-        if idx.shape != shape or idx.dtype.kind not in "iu":
+        try:  # numpy raises ValueError for a ragged list
+            idx = np.asarray(choice[t])
+            if idx.shape != shape or idx.dtype.kind not in "iu":
+                raise ValueError(f"{idx.dtype} of shape {idx.shape}")
+        except (TypeError, ValueError) as exc:
             raise ValidationError(
-                f"choice at level {t} is {idx.dtype} of shape {idx.shape}: an adapted choice is "
-                f"one grid index, or per level one per time-{t} state ({lattice.n_nodes(t)})"
-            )
+                f"choice at level {t} ({exc}): an adapted choice is one grid index, "
+                f"or per level one per time-{t} state ({lattice.n_nodes(t)})"
+            ) from exc
         rows = sorted(set(idx.ravel().tolist()))  # the chosen grid indices
         if rows[0] < 0 or rows[-1] >= len(grid):
             raise ValidationError(f"choice at level {t} indexes past a {len(grid)}-point grid")
@@ -205,11 +208,9 @@ def density_process(
             if family.region is not None and not family.region.membership(grid[k]):
                 raise ValidationError(f"chosen theta {grid[k]!r} outside the region")
             table.append(np.asarray(family.factors(t + 1, grid[k]), dtype=np.float64))
-        if len(rows) == 1:
-            factors.append(table[0])
-        else:
-            row = np.searchsorted(rows, idx[lattice.parents[t + 1]])
-            factors.append(np.stack(table)[row, np.arange(lattice.n_nodes(t + 1))])
+        idx = np.full(lattice.n_nodes(t), idx)  # one grid index per time-t node
+        row = np.searchsorted(np.asarray(rows), idx[lattice.parents[t + 1]])
+        factors.append(np.stack(table)[row, np.arange(lattice.n_nodes(t + 1))])
     return DensityProcess(lattice=lattice, factors=factors)
 
 

@@ -215,7 +215,8 @@ class TestDensityProcess:
             density_process(family, grid, {1: 0}, lattice)
 
     @pytest.mark.parametrize(
-        "choice", [0.0, True, [0], [0, 1], {0: 0, 1: [0, 1]}, {0: [0], 1: [0.0, 1.0]}]
+        "choice",
+        [0.0, True, [0], [0, 1], {0: 0, 1: [0, 1]}, {0: [0], 1: [0.0, 1.0]}, {0: [0], 1: [[0], 1]}],
     )
     def test_rejects_a_choice_that_is_not_grid_indices(self, rng, choice):
         lattice, _, family, grid = make_instance(rng, 2, 2)
