@@ -7,8 +7,11 @@ A liability run-off over two development periods with Gaussian increments:
 
 Parameter ambiguity is an ellipsoidal region around the regression estimators
 of ``theta = (beta0, sigma0, beta1, sigma1)``.  The time-1 layer of the
-valuation recursion is available in closed form, so only the time-0 layer
-needs Monte Carlo.  Two ambiguity attitudes are supported:
+valuation recursion is available in closed form.  At time 0 the deficit
+expectation under each theta conditions on ``eps_{0,1}`` at Gauss-Hermite
+nodes and integrates ``eps_{-1,2}`` in closed form; only the time-0 risk
+measure ``R_0`` is Monte Carlo, on the base-measure paths.  Two ambiguity
+attitudes are supported:
 
 * case 1: one fixed parameter vector for the whole run-off (bounds only);
 * case 2: the rectangular hull, re-selecting parameters each period (the
@@ -53,6 +56,7 @@ _M_BOUNDARY = 360  # points on the (beta1, sigma1) projected boundary of the h t
 _M_UPPER = 4096  # boundary grid of the projected upper-bound searches (both cases)
 _KNOTS = 64  # C_{0,1} knots of the h table
 _CLOUD_BLOCK = 8192  # triangles simulated and fitted at once by estimator_cloud
+_NODES = 40  # Gauss-Hermite nodes of the time-0 deficit expectation
 
 # coordinate layout of theta vectors
 _B0, _S0, _B1, _S1 = 0, 1, 2, 3
@@ -62,6 +66,14 @@ _INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
 
 def _npdf(x: np.ndarray) -> np.ndarray:
     return _INV_SQRT_2PI * np.exp(-0.5 * x * x)
+
+
+def _positive_part_mean(a, b):
+    """``E[(a + b N)^+] = a Phi(a/b) + b phi(a/b)`` for a standard normal ``N`` and ``b > 0``."""
+    from scipy.special import ndtr
+
+    z = a / b
+    return a * ndtr(z) + b * _npdf(z)
 
 
 @dataclass
@@ -281,17 +293,13 @@ def closed_form_g(theta1, c01, model: GaussianModel, c: float):
     conditional expectation under the selected prior of the positive part of
     the time-1 surplus.  Broadcasts over arrays of ``theta1`` and ``c01``.
     """
-    from scipy.special import ndtr
-
     theta1 = np.asarray(theta1, dtype=np.float64)
     beta1, sigma1 = theta1[..., 0], theta1[..., 1]
     if np.any(sigma1 <= 0.0):
         raise ValidationError("closed form needs sigma1 > 0")
     c01 = np.asarray(c01, dtype=np.float64)
     a = model.v0 * (model.beta1 - beta1) * c01 + math.sqrt(model.v0) * model.sigma1 * c
-    b = math.sqrt(model.v0) * sigma1
-    z = a / b
-    out = a * ndtr(z) + b * _npdf(z)
+    out = _positive_part_mean(a, math.sqrt(model.v0) * sigma1)
     return float(out) if out.ndim == 0 else out
 
 
@@ -407,30 +415,25 @@ def _boundary_search(
 
 
 # ---------------------------------------------------------------------------
-# Monte Carlo layer 0
+# time-0 layer
 # ---------------------------------------------------------------------------
 
 
 @dataclass
 class _BaseSample:
-    """Common random numbers of one cell and the base-measure positions on them.
+    """The base-measure paths of one cell: the Monte Carlo sample of ``R_0``.
 
-    Paths are sorted by ``eps_01``: ``C_{0,1}`` then increases along them under
-    every theta (``sigma0 > 0``), and no estimator depends on the path order.
+    ``R_0`` does not depend on the path order: V@R is an order statistic and
+    AV@R sorts its own tail.
     """
 
-    eps_m12: np.ndarray  # development of year -1 in period 1
-    eps_01: np.ndarray  # first column of year 0
     c01: np.ndarray  # C_{0,1} under the base measure
     y: np.ndarray  # X_1 + R_1 under the base measure
 
 
 def _p_sample(model: GaussianModel, n: int, seed: int, c: float) -> _BaseSample:
     eps_m12, eps_01 = scenario.simulate_paths(2, n, seed).T
-    order = np.argsort(eps_01, kind="stable")
-    eps_m12, eps_01 = eps_m12[order], eps_01[order]
-    c01, y = _x1_plus_r1(model, model.theta, eps_m12, eps_01, c)
-    return _BaseSample(eps_m12=eps_m12, eps_01=eps_01, c01=c01, y=y)
+    return _BaseSample(*_x1_plus_r1(model, model.theta, eps_m12, eps_01, c))
 
 
 def _x1_plus_r1(
@@ -449,6 +452,36 @@ def _x1_plus_r1(
     )
     r1 = r1_closed_form(c01, model, c)
     return c01, x1 + r1
+
+
+def _hermite_nodes() -> Tuple[np.ndarray, np.ndarray]:
+    """``_NODES`` probabilists' Gauss-Hermite nodes, weighted as expectations over N(0, 1)."""
+    from numpy.polynomial.hermite_e import hermegauss
+
+    u, w = hermegauss(_NODES)
+    return u, w * _INV_SQRT_2PI
+
+
+def _deficit(
+    model: GaussianModel,
+    theta: np.ndarray,
+    r0: float,
+    c: float,
+    time1: Callable[[np.ndarray], np.ndarray],
+    nodes: Tuple[np.ndarray, np.ndarray],
+) -> float:
+    """Time-0 deficit expectation ``E_theta[(r0 - X_1 - R_1 + V_1)^+]``.
+
+    ``V_1 = time1(C_{0,1})`` is the time-1 value.  Given ``eps_{0,1} = u``,
+    the deficit is ``(a - b eps_{-1,2})^+`` with ``b = sqrt(v_{-1}) sigma1``
+    and ``a`` its value at ``eps_{-1,2} = 0``, whose expectation is closed
+    form; the expectation over ``eps_{0,1}`` is the Gauss-Hermite sum over
+    ``nodes`` (see :func:`_hermite_nodes`).
+    """
+    u, w = nodes
+    c01, y = _x1_plus_r1(model, theta, 0.0, u, c)
+    b = math.sqrt(model.v_m1) * theta[_S1]
+    return float(w @ _positive_part_mean(r0 - (y - time1(c01)), b))
 
 
 def _per_theta(
@@ -496,22 +529,24 @@ def case1_bounds(
     """Lower and upper bounds for the time-0 value under fixed-parameter priors.
 
     The lower bound maximizes the fixed-prior value ``V_0^theta = R_0^theta -
-    C_0^theta`` over the region boundary.  The time-1 layer is closed form; the
-    time-0 quantile is empirical under the base measure and the deficit-option
-    expectation is an empirical mean under each fixed prior (simulated directly
-    with shifted and scaled innovations), both on common random numbers.  The
-    upper bound is the closed-form worst-case expected total cash flow.
-    Returns ``(lower, upper, argmax theta)``.
+    C_0^theta`` over the region boundary.  The time-1 layer is closed form
+    (:func:`closed_form_g` under theta's ``(beta1, sigma1)``).  The time-0 risk
+    measure ``R_0^theta`` is empirical on the ``n`` base-measure paths, and the
+    deficit-option expectation ``C_0^theta`` under theta is exact up to
+    Gauss-Hermite quadrature (:func:`_deficit`).  The upper bound is the
+    closed-form worst-case expected total cash flow.  Returns ``(lower, upper,
+    argmax theta)``.
     """
     c = gaussian_c(cfg.rm)
     base = _p_sample(model, cfg.n, cfg.seed, c)
+    nodes = _hermite_nodes()
 
     def value(theta: np.ndarray) -> float:
-        c01_q, y_base_q = _x1_plus_r1(model, theta, base.eps_m12, base.eps_01, c)
-        g_p = closed_form_g(theta[[_B1, _S1]], base.c01, model, c)
-        g_q = closed_form_g(theta[[_B1, _S1]], c01_q, model, c)
-        r0 = apply_empirical(cfg.rm, -(base.y - g_p))
-        return r0 - np.maximum(r0 - (y_base_q - g_q), 0.0).mean()
+        def g(c01: np.ndarray) -> np.ndarray:
+            return closed_form_g(theta[[_B1, _S1]], c01, model, c)
+
+        r0 = apply_empirical(cfg.rm, -(base.y - g(base.c01)))
+        return r0 - _deficit(model, theta, r0, c, g, nodes)
 
     objective = _per_theta(value, cfg.threads)
     lower, arg = _boundary_search(
@@ -538,13 +573,16 @@ def case1_bounds(
 class HFit:
     """Piecewise-linear map from ``C_{0,1}`` to the time-1 deficit-option value.
 
-    Knot values are the per-knot optimum over the boundary of the projected
-    ``(beta1, sigma1)`` region; evaluation clamps outside the knot range and
-    counts how often that happened.
+    Knot values are ``h`` (:func:`_h_exact`) over ``points``, the boundary
+    grid of the projected ``(beta1, sigma1)`` region; evaluation clamps
+    outside the knot range and counts how often that happened.  The table
+    serves the Monte Carlo sample of ``R_0`` only; the time-0 deficit
+    expectation evaluates ``h`` exactly at its quadrature nodes.
     """
 
     knots: np.ndarray
     values: np.ndarray
+    points: np.ndarray
     n_clamped: int = 0
 
     def __call__(self, c01: np.ndarray) -> np.ndarray:
@@ -557,19 +595,25 @@ class HFit:
         return np.interp(c01, self.knots, self.values)
 
 
+def _h_exact(model: GaussianModel, points: np.ndarray, c01: np.ndarray, c: float) -> np.ndarray:
+    """The time-1 value ``h`` at each ``C_{0,1}``: :func:`closed_form_g` minimized over ``points``."""
+    return closed_form_g(points[:, None, :], c01[None, :], model, c).min(axis=0)
+
+
 def fit_h(model: GaussianModel, proj: ParamRegion, c: float) -> HFit:
-    """Tabulate the per-state optimum of the closed-form time-1 layer.
+    """Tabulate the per-state optimum ``h`` of the closed-form time-1 layer.
 
     ``_KNOTS`` knots span +/- 6 conditional standard deviations of
-    ``C_{0,1}`` around its base-measure mean; at each knot the deficit-option
-    value is minimized over the ``_M_BOUNDARY``-point boundary grid of the
-    ``(beta1, sigma1)`` projection.
+    ``C_{0,1}`` around its base-measure mean; each knot value is
+    :func:`_h_exact` over the ``_M_BOUNDARY``-point boundary grid of the
+    ``(beta1, sigma1)`` projection.  The table is read on the Monte Carlo
+    sample of ``R_0``; the grid is kept as ``points`` so that the time-0
+    deficit expectation evaluates ``h`` exactly at its nodes.
     """
     sd = model.sigma0 / math.sqrt(model.v0)
     xs = np.linspace(model.beta0 - 6.0 * sd, model.beta0 + 6.0 * sd, _KNOTS)
-    grid = boundary_grid(proj, _M_BOUNDARY, positive=(1,)).points  # (m, 2)
-    table = closed_form_g(grid[:, None, :], xs[None, :], model, c)  # (m, knots)
-    return HFit(knots=xs, values=table.min(axis=0))
+    points = boundary_grid(proj, _M_BOUNDARY, positive=(1,)).points  # (m, 2)
+    return HFit(knots=xs, values=_h_exact(model, points, xs, c), points=points)
 
 
 def case2_upper(model: GaussianModel, region: ParamRegion) -> float:
@@ -589,13 +633,10 @@ def case2_upper(model: GaussianModel, region: ParamRegion) -> float:
             f"rectangular upper bound needs beta1 > 1 over the whole region "
             f"(got beta1_min = {b1_min:.6g})"
         )
-    from scipy.special import ndtr
-
     def obj(thetas: np.ndarray) -> np.ndarray:
         b0, s0, b1 = thetas[:, 0], thetas[:, 1], thetas[:, 2]
         sd = s0 / math.sqrt(model.v0)  # standard deviation of C01
-        z = b0 / sd
-        pos_mean = b0 * ndtr(z) + sd * _npdf(z)  # E[C01^+]
+        pos_mean = _positive_part_mean(b0, sd)  # E[C01^+]
         neg_mean = pos_mean - b0  # E[C01^-]
         return (
             model.v_m1 * (b1 - 1.0) * model.c_m11
@@ -614,20 +655,25 @@ def case2_value(
 ) -> Tuple[float, float, np.ndarray]:
     """Rectangular-hull value and upper bound: ``(V_0, upper, argmin theta)``.
 
-    The time-1 layer re-optimizes ``(beta1, sigma1)`` per state through the
-    tabulated map ``h``; the time-0 quantile is empirical under the base
-    measure, and the deficit-option expectation is minimized over the region
-    boundary with per-prior direct simulation.
+    The time-1 layer re-optimizes ``(beta1, sigma1)`` per state: ``h`` is the
+    minimum of :func:`closed_form_g` over the boundary grid of the projected
+    region.  The time-0 risk measure is empirical on the ``n`` base-measure
+    paths, read through the tabulated ``h`` (:func:`fit_h`), once per cell.
+    The deficit-option expectation is exact up to Gauss-Hermite quadrature
+    (:func:`_deficit`, with ``h`` exact at the nodes) and is minimized over
+    the region boundary.
     """
     c = gaussian_c(cfg.rm)
     base = _p_sample(model, cfg.n, cfg.seed, c)
-    proj = project_region(region, [_B1, _S1])
-    h = fit_h(model, proj, c)
+    h = fit_h(model, project_region(region, [_B1, _S1]), c)
     r0 = float(apply_empirical(cfg.rm, -(base.y - h(base.c01))))
+    nodes = _hermite_nodes()
+
+    def h_exact(c01: np.ndarray) -> np.ndarray:
+        return _h_exact(model, h.points, c01, c)
 
     def deficit(theta: np.ndarray) -> float:
-        c01_q, y_base_q = _x1_plus_r1(model, theta, base.eps_m12, base.eps_01, c)
-        return np.maximum(r0 - (y_base_q - h(c01_q)), 0.0).mean()
+        return _deficit(model, theta, r0, c, h_exact, nodes)
 
     c0, arg = _boundary_search(
         region, _per_theta(deficit, cfg.threads), maximize=False, m=_M_SEARCH, positive=(_S0, _S1)

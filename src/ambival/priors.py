@@ -257,6 +257,12 @@ class ParamRegion:
         self.chol = np.asarray(self.chol, dtype=np.float64)
         if self.chol.shape != (self.dim, self.dim):
             raise ValidationError("region Cholesky factor shape inconsistent with the center")
+        if not (
+            np.all(np.isfinite(self.center))
+            and np.all(np.isfinite(self.chol))
+            and np.isfinite(self.radius2)
+        ):
+            raise ValidationError("region center, Cholesky factor and squared radius must be finite")
         if np.any(np.diag(self.chol) <= 0.0) or np.any(np.triu(self.chol, 1) != 0.0):
             raise ValidationError("Cholesky factor must be lower-triangular with positive diagonal")
         if self.radius2 < 0.0:
@@ -270,6 +276,11 @@ class ParamRegion:
             raise ValidationError(
                 f"theta of shape {z.shape} is not a point or a 2-D batch with {self.dim} coordinates"
             )
+        finite = np.isfinite(pts).all(axis=1)
+        if not finite.all():
+            i = int(np.argmin(finite))
+            where = f" in row {i} of the batch" if z.ndim == 2 else ""
+            raise ValidationError(f"theta must be finite, got {pts[i].tolist()}{where}")
         import scipy.linalg
 
         y = scipy.linalg.solve_triangular(self.chol, (pts - self.center).T, lower=True)

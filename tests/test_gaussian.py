@@ -9,6 +9,7 @@ import pytest
 from scipy.integrate import quad
 from scipy.stats import chi2, norm
 
+import ambival.gaussian
 from ambival.cli import FIGURE1_N_REP, main
 from ambival.errors import ValidationError
 from ambival.gaussian import (
@@ -18,7 +19,11 @@ from ambival.gaussian import (
     GaussianModel,
     GaussianStepFamily,
     _boundary_search,
+    _deficit,
     _estimators,
+    _h_exact,
+    _hermite_nodes,
+    _p_sample,
     case1_bounds,
     case1_upper,
     case2_upper,
@@ -32,9 +37,16 @@ from ambival.gaussian import (
     region_for,
     simulate_triangle,
 )
-from ambival.priors import density_process, ellipsoid_region, point_region, project_region
+from ambival.priors import (
+    boundary_grid,
+    density_process,
+    ellipsoid_region,
+    interior_grid,
+    point_region,
+    project_region,
+)
 from ambival.riskmeasures import AVAR, VAR, RiskMeasureSpec, apply_empirical, gaussian_c
-from ambival.scenario import AdaptedProcess, substream
+from ambival.scenario import AdaptedProcess, simulate_paths, substream
 from ambival.valuation import CashFlowSpec, value_multiprior
 
 
@@ -423,6 +435,58 @@ class TestCaseBounds:
         (name,) = bad
         with pytest.raises(ValidationError, match=f"{name} must be at least"):
             CaseConfig(rm=RiskMeasureSpec(VAR, 0.05), **bad)
+
+
+class TestTimeZeroDeficit:
+    """The time-0 deficit expectation by Gauss-Hermite quadrature, on the seed-0 p = 0.9 region."""
+
+    @pytest.fixture(scope="class")
+    def region(self):
+        return region_for(estimator_cloud(paper_model(), 10**5, seed=0), 0.9)
+
+    @pytest.mark.parametrize("kind", [VAR, AVAR])
+    @pytest.mark.parametrize("case", [1, 2])
+    def test_agrees_with_monte_carlo(self, region, case, kind):
+        # The reference is a Monte Carlo mean over 10^6 paths simulated under
+        # theta from the model's equations.  The time-1 value is closed_form_g
+        # under theta (case 1) or h over 24 boundary points of the projected
+        # region (case 2; the cells use 360, which makes the reference slow).
+        m = paper_model()
+        rm = RiskMeasureSpec(kind, 0.01)
+        c = gaussian_c(rm)
+        eps_m12, eps_01 = simulate_paths(2, 10**6, seed=7).T
+        base = _p_sample(m, 10**5, 0, c)
+        points = boundary_grid(project_region(region, [2, 3]), 24, positive=(1,)).points
+        rng = np.random.default_rng(case)
+        on = boundary_grid(region, 64, positive=(1, 3)).points[rng.choice(64, 2, replace=False)]
+        inside = interior_grid(region, 64, positive=(1, 3))[rng.choice(64, 2, replace=False)]
+        for theta in np.vstack([on, inside]):
+
+            def time1(c01, theta=theta):
+                if case == 1:
+                    return closed_form_g(theta[[2, 3]], c01, m, c)
+                return _h_exact(m, points, c01, c)
+
+            r0 = apply_empirical(rm, -(base.y - time1(base.c01)))
+            b0, s0, b1, s1 = theta
+            c01 = b0 + s0 / math.sqrt(m.v0) * eps_01
+            x1 = m.v_m1 * (b1 - 1.0) * m.c_m11 + math.sqrt(m.v_m1) * s1 * eps_m12 + m.v0 * c01
+            sample = np.maximum(r0 - (x1 + r1_closed_form(c01, m, c) - time1(c01)), 0.0)
+            se = sample.std(ddof=1) / math.sqrt(len(sample))
+            got = _deficit(m, theta, r0, c, time1, _hermite_nodes())
+            assert se > 1e-4 and abs(got - sample.mean()) < 4.0 * se
+
+    @pytest.mark.parametrize("case, tol", [(1, 1e-10), (2, 1e-6)])
+    def test_lower_value_converges_in_the_node_count(self, monkeypatch, region, case, tol):
+        m = paper_model()
+        cfg = CaseConfig(rm=RiskMeasureSpec(VAR, 0.005), n=10**4, seed=0)
+        bounds = case1_bounds if case == 1 else case2_value
+        k = ambival.gaussian._NODES
+        lower = []
+        for nodes in (k, 2 * k):
+            monkeypatch.setattr(ambival.gaussian, "_NODES", nodes)
+            lower.append(bounds(cfg, m, region)[0])
+        assert abs(lower[0] - lower[1]) < tol
 
 
 class TestHFit:

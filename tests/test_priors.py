@@ -10,6 +10,7 @@ from ambival.priors import (
     DensityFamily,
     DensityProcess,
     ExponentialTiltFamily,
+    ParamRegion,
     boundary_grid,
     density_process,
     ellipsoid_region,
@@ -325,6 +326,31 @@ class TestRegions:
             ellipsoid_region(np.array([0.0, bad]), np.eye(2), 0.5)
         with pytest.raises(ValidationError, match="must be finite"):
             ellipsoid_region(np.zeros(2), np.array([[1.0, bad], [bad, 1.0]]), 0.5)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_rejects_a_non_finite_center(self, bad):
+        with pytest.raises(ValidationError, match="must be finite"):
+            point_region([bad, 1.0])
+        with pytest.raises(ValidationError, match="must be finite"):
+            ParamRegion(center=np.array([0.0, bad]), chol=np.eye(2), radius2=1.0)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_rejects_a_non_finite_cholesky_factor(self, bad):
+        with pytest.raises(ValidationError, match="must be finite"):
+            ParamRegion(center=np.zeros(2), chol=np.array([[1.0, 0.0], [bad, 1.0]]), radius2=1.0)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_rejects_a_non_finite_squared_radius(self, bad):
+        with pytest.raises(ValidationError, match="must be finite"):
+            ParamRegion(center=np.zeros(2), chol=np.eye(2), radius2=bad)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_rejects_a_non_finite_theta(self, bad):
+        region = ellipsoid_region(np.zeros(2), np.eye(2), 0.5)
+        with pytest.raises(ValidationError, match=r"theta must be finite, got \[\S+, 0\.0\]$"):
+            region.membership([bad, 0.0])
+        with pytest.raises(ValidationError, match=r"got \[0\.0, \S+\] in row 1 of the batch"):
+            region.mahalanobis2(np.array([[0.0, 0.0], [0.0, bad]]))
 
     @pytest.mark.parametrize("coords", [[0, 0], [], [0, 3], [-1]])
     def test_projection_rejects_bad_coordinates(self, coords):
