@@ -78,7 +78,8 @@ _CHECKS = {
     "q": (lambda v: 0.0 < v < 1.0, "must lie in (0,1)"),
     "case": (lambda v: v in (1, 2), "must be 1 or 2"),
     "kind": (lambda v: v in (VAR, AVAR), f"must be {VAR} or {AVAR}"),
-    # the library's own bounds (estimator_cloud, the estimators), here named by key
+    # the library's own bounds (CaseConfig, estimator_cloud, the estimators), here named by key
+    "n": (lambda v: v >= 10**3, "must be at least 1000"),
     "cloud_n_rep": (lambda v: v >= 100, "must be at least 100"),
     "i0": (lambda v: v <= -3, "must be at most -3 (3 accident years)"),
 }

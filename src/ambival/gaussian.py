@@ -10,8 +10,10 @@ of ``theta = (beta0, sigma0, beta1, sigma1)``.  The time-1 layer of the
 valuation recursion is available in closed form.  At time 0 the deficit
 expectation under each theta conditions on ``eps_{0,1}`` at Gauss-Hermite
 nodes and integrates ``eps_{-1,2}`` in closed form; only the time-0 risk
-measure ``R_0`` is Monte Carlo, on the base-measure paths.  Two ambiguity
-attitudes are supported:
+measure ``R_0`` is Monte Carlo, on the base-measure paths.  In case 1 the
+closed form under each theta runs only on the paths whose loss can reach the
+tail that ``R_0`` reads, and ``R_0`` keeps the bits of the full sample.  Two
+ambiguity attitudes are supported:
 
 * case 1: one fixed parameter vector for the whole run-off (bounds only);
 * case 2: the rectangular hull, re-selecting parameters each period (the
@@ -43,7 +45,7 @@ from .priors import (
     interior_grid,
     project_region,
 )
-from .riskmeasures import RiskMeasureSpec, apply_empirical, gaussian_c
+from .riskmeasures import RiskMeasureSpec, apply_empirical, gaussian_c, tail_count, tail_measure
 
 logger = logging.getLogger(__name__)
 
@@ -57,6 +59,11 @@ _M_UPPER = 4096  # boundary grid of the projected upper-bound searches (both cas
 _KNOTS = 64  # C_{0,1} knots of the h table
 _CLOUD_BLOCK = 8192  # triangles simulated and fitted at once by estimator_cloud
 _NODES = 40  # Gauss-Hermite nodes of the time-0 deficit expectation
+# The case-1 R_0 (_Case1R0); _BIN and _TAU_BINS were the fastest of 32-512 and
+# 2-8 on the Table-1 cells at n = 10^5, and neither moves a result bit.
+_BIN = 128  # consecutive sorted base paths per bin
+_TAU_BINS = 4  # the threshold is taken in this many times the fewest bins holding m paths
+_G_SLACK = 1e-10  # widening of g's bin bounds, relative to |g| + b
 
 # coordinate layout of theta vectors
 _B0, _S0, _B1, _S1 = 0, 1, 2, 3
@@ -423,17 +430,20 @@ def _boundary_search(
 class _BaseSample:
     """The base-measure paths of one cell: the Monte Carlo sample of ``R_0``.
 
+    The paths are sorted by ``C_{0,1}``, which :class:`_Case1R0` relies on.
     ``R_0`` does not depend on the path order: V@R is an order statistic and
     AV@R sorts its own tail.
     """
 
-    c01: np.ndarray  # C_{0,1} under the base measure
+    c01: np.ndarray  # C_{0,1} under the base measure, ascending
     y: np.ndarray  # X_1 + R_1 under the base measure
 
 
 def _p_sample(model: GaussianModel, n: int, seed: int, c: float) -> _BaseSample:
     eps_m12, eps_01 = scenario.simulate_paths(2, n, seed).T
-    return _BaseSample(*_x1_plus_r1(model, model.theta, eps_m12, eps_01, c))
+    c01, y = _x1_plus_r1(model, model.theta, eps_m12, eps_01, c)
+    order = np.argsort(c01)
+    return _BaseSample(c01[order], y[order])
 
 
 def _x1_plus_r1(
@@ -484,6 +494,61 @@ def _deficit(
     return float(w @ _positive_part_mean(r0 - (y - time1(c01)), b))
 
 
+class _Case1R0:
+    """Case-1 ``R_0^theta`` on one base sample, from the few paths that can reach the loss tail.
+
+    A call with ``theta1 = (beta1, sigma1)`` returns exactly the bits of
+    ``apply_empirical(rm, -(base.y - g(base.c01)))`` for ``g`` the closed form
+    under ``theta1``.  ``g`` is monotone in ``C_{0,1}`` and the paths are
+    sorted by it, so on each bin of ``_BIN`` consecutive paths ``g`` lies
+    between its values at the bin's first and last path, widened by
+    ``_G_SLACK (|g| + b)`` for the rounding of the computed ``g`` (a few ulps
+    of ``|a| Phi + b phi``, which is at most ``|g| + b``).  That bounds each
+    loss ``y - g`` from below and above.  At least ``m = tail_count`` losses
+    reach ``tau``, the ``m``-th largest lower bound in the bins whose largest
+    lower bounds rank first, so the ``m`` largest losses, ties included, are
+    among the candidates: the paths whose upper bound reaches ``tau``.  Only
+    those get the closed form and are measured (:func:`tail_measure`).  The
+    bins hold ``y`` as the rows of a matrix, the last row padded with
+    ``-inf``, which is never a candidate.
+    """
+
+    def __init__(self, rm: RiskMeasureSpec, base: _BaseSample, model: GaussianModel, c: float):
+        if not np.all(np.isfinite(base.y)):
+            raise ValidationError("non-finite sample values")
+        self.n = n = len(base.y)
+        first = np.arange(0, n, _BIN)
+        self.c01 = base.c01
+        self.c_edges = base.c01[np.concatenate([first, np.minimum(first + _BIN, n) - 1])]
+        self.y = np.full(len(first) * _BIN, -np.inf)
+        self.y[:n] = base.y
+        self.y_bins = self.y.reshape(len(first), _BIN)
+        self.y_max = self.y_bins.max(axis=1)
+        self.rm, self.model, self.c = rm, model, c
+        self.m = tail_count(rm, n)
+        self.k = min(len(first), _TAU_BINS * -(-self.m // _BIN) + 1)
+
+    def __call__(self, theta1: np.ndarray) -> float:
+        nb, m = len(self.y_max), self.m
+        edges = closed_form_g(theta1, self.c_edges, self.model, self.c)
+        if not np.all(np.isfinite(edges)):
+            raise ValidationError("non-finite sample values")
+        g_first, g_last = edges[:nb], edges[nb:]
+        slack = _G_SLACK * (
+            np.maximum(abs(g_first), abs(g_last)) + math.sqrt(self.model.v0) * theta1[1]
+        )
+        g_hi = np.maximum(g_first, g_last) + slack
+        g_lo = np.minimum(g_first, g_last) - slack
+        ranked = np.argpartition(self.y_max - g_hi, nb - self.k)[nb - self.k :]
+        lower = (self.y_bins[ranked] - g_hi[ranked, None]).ravel()
+        tau = np.partition(lower, lower.size - m)[lower.size - m]
+        bins = np.flatnonzero(self.y_max - g_lo >= tau)
+        at = np.flatnonzero(self.y_bins[bins] - g_lo[bins, None] >= tau)
+        cand = bins[at // _BIN] * _BIN + at % _BIN
+        g = closed_form_g(theta1, self.c01[cand], self.model, self.c)
+        return tail_measure(self.rm, self.y[cand] - g, self.n)
+
+
 def _per_theta(
     fn: Callable[[np.ndarray], float], threads: int = 1
 ) -> Callable[[np.ndarray], np.ndarray]:
@@ -531,21 +596,25 @@ def case1_bounds(
     The lower bound maximizes the fixed-prior value ``V_0^theta = R_0^theta -
     C_0^theta`` over the region boundary.  The time-1 layer is closed form
     (:func:`closed_form_g` under theta's ``(beta1, sigma1)``).  The time-0 risk
-    measure ``R_0^theta`` is empirical on the ``n`` base-measure paths, and the
+    measure ``R_0^theta`` is empirical on the ``n`` base-measure paths, with
+    the same bits as from all of them, but the closed form runs only on the
+    paths that can reach the loss tail (:class:`_Case1R0`).  The
     deficit-option expectation ``C_0^theta`` under theta is exact up to
     Gauss-Hermite quadrature (:func:`_deficit`).  The upper bound is the
     closed-form worst-case expected total cash flow.  Returns ``(lower, upper,
     argmax theta)``.
     """
     c = gaussian_c(cfg.rm)
-    base = _p_sample(model, cfg.n, cfg.seed, c)
+    r0_of = _Case1R0(cfg.rm, _p_sample(model, cfg.n, cfg.seed, c), model, c)
     nodes = _hermite_nodes()
 
     def value(theta: np.ndarray) -> float:
-        def g(c01: np.ndarray) -> np.ndarray:
-            return closed_form_g(theta[[_B1, _S1]], c01, model, c)
+        theta1 = theta[[_B1, _S1]]
 
-        r0 = apply_empirical(cfg.rm, -(base.y - g(base.c01)))
+        def g(c01: np.ndarray) -> np.ndarray:
+            return closed_form_g(theta1, c01, model, c)
+
+        r0 = r0_of(theta1)
         return r0 - _deficit(model, theta, r0, c, g, nodes)
 
     objective = _per_theta(value, cfg.threads)

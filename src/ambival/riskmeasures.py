@@ -1,14 +1,16 @@
 """Conditional monetary risk measures: value-at-risk and average value-at-risk.
 
 Sign convention: every function takes the position ``Z`` (a gain) and owns the
-loss transform ``-Z`` internally.  Two estimators share one convention:
-``apply_discrete`` is the lattice kernel: it measures, in one call, the
-finite law given by atoms and probabilities on every segment of a lattice
-level (the children of each parent).  ``apply_empirical`` measures each row
-of a batch of equally weighted samples.  The quantile is the upper order
-statistic at index ``ceil((1 - q) n)``, i.e. the essential-infimum quantile of
-the loss law; tail averages are computed exactly with a fractional weight on
-the marginal observation.
+loss transform ``-Z`` internally, except ``tail_measure``, which takes losses.
+Two estimators share one convention: ``apply_discrete`` is the lattice
+kernel: it measures, in one call, the finite law given by atoms and
+probabilities on every segment of a lattice level (the children of each
+parent).  ``apply_empirical`` measures each row of a batch of equally
+weighted samples through ``tail_count`` and ``tail_measure``; a caller that
+can bound its losses measures with them only the few that may reach the
+tail.  The quantile is the upper order statistic at index ``ceil((1 - q) n)``,
+i.e. the essential-infimum quantile of the loss law; tail averages are
+computed exactly with a fractional weight on the marginal observation.
 """
 
 from __future__ import annotations
@@ -67,21 +69,43 @@ def gaussian_c(spec: RiskMeasureSpec) -> float:
 def apply_empirical(spec: RiskMeasureSpec, y: np.ndarray) -> np.ndarray:
     """Empirical risk measure of each row of positions ``y`` (over the last axis).
 
-    V@R is the ``ceil((1 - q) n)``-th loss order statistic of the row, found
-    by a partial sort; AV@R is the exact mean of the upper-``q`` loss tail with
-    a fractional weight on the marginal order statistic, from a sort of only
-    the ``ceil(q n) + 1`` largest losses (later ones carry zero weight; the
-    extra one absorbs the rounding of ``q n``).  A 1-D sample gives a scalar.
+    The row's losses go whole to :func:`tail_measure`.  A 1-D sample gives a
+    scalar.
     """
     losses = -_checked(y)
-    n = losses.shape[-1]
+    return tail_measure(spec, losses, losses.shape[-1])
+
+
+def tail_count(spec: RiskMeasureSpec, n: int) -> int:
+    """How many of the largest losses of an ``n``-sample the measure reads.
+
+    V@R reads the ``ceil((1 - q) n)``-th loss order statistic, the
+    ``n + 1 - ceil((1 - q) n)``-th largest; AV@R reads the ``ceil(q n) + 1``
+    largest (later ones carry zero weight; the extra one absorbs the rounding
+    of ``q n``).  Never more than ``n``.
+    """
     if spec.kind == VAR:
         k = int(np.ceil((1.0 - spec.level) * n - _TIE_EPS))
-        k = min(max(k, 1), n)
-        return np.partition(losses, k - 1, axis=-1)[..., k - 1]
-    k = min(int(np.ceil(spec.level * n)) + 1, n)
-    top = np.sort(np.partition(losses, n - k, axis=-1)[..., n - k :], axis=-1)[..., ::-1]
-    tail_w = np.clip(spec.level - np.arange(k) / n, 0.0, 1.0 / n)
+        return n + 1 - min(max(k, 1), n)
+    return min(int(np.ceil(spec.level * n)) + 1, n)
+
+
+def tail_measure(spec: RiskMeasureSpec, losses: np.ndarray, n: int) -> np.ndarray:
+    """Empirical risk measure of an ``n``-sample from part of its losses.
+
+    ``losses`` (over the last axis) may be any part of each row's losses that
+    holds its ``m = tail_count(spec, n)`` largest, with their ties: the result
+    is the same bits as from the whole row.  V@R is the ``m``-th largest loss,
+    found by a partial sort; AV@R is the exact mean of the upper-``q`` loss
+    tail with a fractional weight on the marginal order statistic, from a sort
+    of only the ``m`` largest losses.
+    """
+    m = tail_count(spec, n)
+    j = losses.shape[-1] - m
+    if spec.kind == VAR:
+        return np.partition(losses, j, axis=-1)[..., j]
+    top = np.sort(np.partition(losses, j, axis=-1)[..., j:], axis=-1)[..., ::-1]
+    tail_w = np.clip(spec.level - np.arange(m) / n, 0.0, 1.0 / n)
     return top @ tail_w / spec.level
 
 

@@ -133,10 +133,11 @@ class TestConfigFile:
                 ["--command", "figure1", "--set", "i0=-2"],
                 "i0 must be at most -3 (3 accident years), got -2",
             ),
+            (["--command", "value", "--n", "10"], "n must be at least 1000, got 10"),
         ],
         ids=[
             "value-p", "table1-kind", "oracle-check-q", "oracle-check-kind", "oracle-check-case",
-            "value-cloud_n_rep", "table1-cloud_n_rep", "figure1-i0",
+            "value-cloud_n_rep", "table1-cloud_n_rep", "figure1-i0", "value-n",
         ],
     )
     def test_range_checks_only_the_keys_read_and_name_the_key(
@@ -221,13 +222,13 @@ class TestMain:
         assert lower <= upper
         assert (tmp_path / "manifest.txt").exists()
 
-    @pytest.mark.parametrize("bad", ["threads=0"])
+    @pytest.mark.parametrize("bad", ["threads=0", "n=10"])
     def test_value_rejects_out_of_range_grid_keys(self, tmp_path, capsys, monkeypatch, bad):
-        # checked when the CaseConfig is built, before the estimator cloud
+        # checked before the estimator cloud: n by RunConfig, threads by CaseConfig
         monkeypatch.setattr(ambival.cli, "estimator_cloud", None)
         rc = main(
             [
-                "--command", "value", "--case", "2", "--n", "2000", "--out", str(tmp_path),
+                "--command", "value", "--case", "2", "--out", str(tmp_path),
                 "--set", "cloud_n_rep=2000", "--set", bad,
             ]
         )
@@ -264,7 +265,7 @@ class TestMain:
         assert capsys.readouterr().err.startswith("error: ")
         assert not (tmp_path / "manifest.txt").exists()
 
-    @pytest.mark.parametrize("bad", ["threads=0"])
+    @pytest.mark.parametrize("bad", ["threads=0", "n=10"])
     def test_table1_rejects_out_of_range_keys_before_any_work(
         self, tmp_path, capsys, monkeypatch, bad
     ):

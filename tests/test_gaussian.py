@@ -3,9 +3,12 @@
 import math
 import tracemalloc
 from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.integrate import quad
 from scipy.stats import chi2, norm
 
@@ -18,7 +21,9 @@ from ambival.gaussian import (
     CaseConfig,
     GaussianModel,
     GaussianStepFamily,
+    _BaseSample,
     _boundary_search,
+    _Case1R0,
     _deficit,
     _estimators,
     _h_exact,
@@ -435,6 +440,62 @@ class TestCaseBounds:
         (name,) = bad
         with pytest.raises(ValidationError, match=f"{name} must be at least"):
             CaseConfig(rm=RiskMeasureSpec(VAR, 0.05), **bad)
+
+
+class TestCase1R0:
+    """The case-1 time-0 risk measure from candidate paths against the full sample."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        n=st.one_of(st.integers(1000, 20000), st.integers(5, 100).map(lambda k: 200 * k)),
+        seed=st.integers(0, 2**32),
+        decimals=st.sampled_from([None, 1, 2, 3]),
+        bin_size=st.sampled_from([1, 2, 7, 128, 1000]),
+        kind=st.sampled_from([VAR, AVAR]),
+        level=st.one_of(st.sampled_from([0.25, 0.1, 0.05, 0.01, 0.005]), st.floats(1e-4, 0.5)),
+        beta1=st.one_of(st.just(paper_model().beta1), st.floats(0.5, 2.5)),
+        sigma1=st.one_of(st.sampled_from([1e-8, 1e-3, 1e3, 1e6]), st.floats(0.01, 1.0)),
+    )
+    def test_equals_the_full_measure_bit_for_bit(
+        self, n, seed, decimals, bin_size, kind, level, beta1, sigma1
+    ):
+        # n a multiple of 200 makes (1 - q) n whole for the listed levels;
+        # rounding C_{0,1} repeats values across the bin cuts, and beta1 equal
+        # to the model's makes g constant.
+        m = paper_model()
+        rm = RiskMeasureSpec(kind, level)
+        c = gaussian_c(rm)
+        base = _p_sample(m, n, seed, c)
+        assert np.all(np.diff(base.c01) >= 0.0)
+        if decimals is not None:
+            base = _BaseSample(np.round(base.c01, decimals), base.y)
+        theta1 = np.array([beta1, sigma1])
+        full = apply_empirical(rm, -(base.y - closed_form_g(theta1, base.c01, m, c)))
+        with mock.patch.object(ambival.gaussian, "_BIN", bin_size):
+            got = _Case1R0(rm, base, m, c)(theta1)
+        assert np.float64(got).tobytes() == np.float64(full).tobytes()
+
+    @pytest.mark.parametrize(
+        "theta1", [[np.nan, 0.2], [1.5, np.inf]], ids=["beta1=nan", "sigma1=inf"]
+    )
+    def test_non_finite_g_is_rejected_as_by_the_full_measure(self, theta1):
+        m = paper_model()
+        rm = RiskMeasureSpec(VAR, 0.05)
+        c = gaussian_c(rm)
+        base = _p_sample(m, 2000, 0, c)
+        theta1 = np.array(theta1)
+        with pytest.raises(ValidationError, match="non-finite sample values"):
+            apply_empirical(rm, -(base.y - closed_form_g(theta1, base.c01, m, c)))
+        with pytest.raises(ValidationError, match="non-finite sample values"):
+            _Case1R0(rm, base, m, c)(theta1)
+
+    def test_non_finite_sample_is_rejected(self):
+        m = paper_model()
+        rm = RiskMeasureSpec(AVAR, 0.05)
+        base = _p_sample(m, 2000, 0, gaussian_c(rm))
+        base.y[1500] = np.inf
+        with pytest.raises(ValidationError, match="non-finite sample values"):
+            _Case1R0(rm, base, m, gaussian_c(rm))
 
 
 class TestTimeZeroDeficit:
