@@ -12,8 +12,10 @@ expectation under each theta conditions on ``eps_{0,1}`` at Gauss-Hermite
 nodes and integrates ``eps_{-1,2}`` in closed form; only the time-0 risk
 measure ``R_0`` is Monte Carlo, on the base-measure paths.  In case 1 the
 closed form under each theta runs only on the paths whose loss can reach the
-tail that ``R_0`` reads, and ``R_0`` keeps the bits of the full sample.  Two
-ambiguity attitudes are supported:
+tail that ``R_0`` reads, and ``R_0`` keeps the bits of the full sample; the
+worst-case search computes ``R_0`` only for the theta that a Lipschitz bound
+says can win.  In case 2 the time-1 value ``h`` is a minimum over the Pareto
+arc of the projected boundary grid.  Two ambiguity attitudes are supported:
 
 * case 1: one fixed parameter vector for the whole run-off (bounds only);
 * case 2: the rectangular hull, re-selecting parameters each period (the
@@ -31,7 +33,7 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterator, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Callable, ContextManager, Iterator, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -46,6 +48,9 @@ from .priors import (
     project_region,
 )
 from .riskmeasures import RiskMeasureSpec, apply_empirical, gaussian_c, tail_count, tail_measure
+
+if TYPE_CHECKING:
+    from concurrent.futures import Executor
 
 logger = logging.getLogger(__name__)
 
@@ -64,6 +69,8 @@ _NODES = 40  # Gauss-Hermite nodes of the time-0 deficit expectation
 _BIN = 128  # consecutive sorted base paths per bin
 _TAU_BINS = 4  # the threshold is taken in this many times the fewest bins holding m paths
 _G_SLACK = 1e-10  # widening of g's bin bounds, relative to |g| + b
+_BOUND_SLACK = 1e-9  # widening of the case-1 value bounds (_Case1Value), relative to their scale
+_CHUNK = 16  # theta rows per batched deficit evaluation; 64 raised the gauss-table peak RSS by 3%
 
 # coordinate layout of theta vectors
 _B0, _S0, _B1, _S1 = 0, 1, 2, 3
@@ -383,9 +390,13 @@ def _boundary_search(
     """Optimize a vectorized objective over the region boundary.
 
     Deterministic: a low-discrepancy coarse grid picks a starting point, then
-    a derivative-free local search over spherical angles polishes it.  Points
-    violating positivity constraints are excluded (and penalized during the
-    local search).
+    a derivative-free local search over spherical angles polishes it and is
+    kept only where it improves on the grid's best point.  Points violating
+    positivity constraints are excluded (and penalized during the local
+    search).  On a batch of rows the objective must be exact at its best
+    entry; every other entry may instead be a bound on the losing side
+    (below the best when maximizing, above it when minimizing).  Single rows
+    must be exact.
     """
     if region.is_point:
         theta = region.center
@@ -415,7 +426,7 @@ def _boundary_search(
         method="Nelder-Mead",
         options={"xatol": 1e-4, "fatol": 1e-9, "maxiter": 400},
     )
-    if np.isfinite(res.fun) and sign * (-res.fun) > sign * best_val:
+    if np.isfinite(res.fun) and -res.fun > sign * best_val:
         best_val = float(-sign * res.fun)
         best_theta = region.center + r * (region.chol @ _angles_to_sphere(res.x, k))
     return best_val, best_theta
@@ -474,24 +485,46 @@ def _hermite_nodes() -> Tuple[np.ndarray, np.ndarray]:
 
 def _deficit(
     model: GaussianModel,
-    theta: np.ndarray,
-    r0: float,
+    thetas: np.ndarray,
+    r0: np.ndarray,
     c: float,
-    time1: Callable[[np.ndarray], np.ndarray],
+    time1: Callable[[np.ndarray, np.ndarray], np.ndarray],
     nodes: Tuple[np.ndarray, np.ndarray],
-) -> float:
-    """Time-0 deficit expectation ``E_theta[(r0 - X_1 - R_1 + V_1)^+]``.
+    pool: Optional[Executor] = None,
+) -> np.ndarray:
+    """Time-0 deficit expectations ``E_theta[(r0 - X_1 - R_1 + V_1)^+]``, one per row of ``thetas``.
 
-    ``V_1 = time1(C_{0,1})`` is the time-1 value.  Given ``eps_{0,1} = u``,
-    the deficit is ``(a - b eps_{-1,2})^+`` with ``b = sqrt(v_{-1}) sigma1``
-    and ``a`` its value at ``eps_{-1,2} = 0``, whose expectation is closed
-    form; the expectation over ``eps_{0,1}`` is the Gauss-Hermite sum over
-    ``nodes`` (see :func:`_hermite_nodes`).
+    ``r0`` holds one value per row.  ``V_1 = time1(thetas, C_{0,1})`` is the
+    time-1 value, with one row of ``C_{0,1}`` per theta.  Given ``eps_{0,1} =
+    u``, the deficit is ``(a - b eps_{-1,2})^+`` with ``b = sqrt(v_{-1})
+    sigma1`` and ``a`` its value at ``eps_{-1,2} = 0``, whose expectation is
+    closed form; the expectation over ``eps_{0,1}`` is the Gauss-Hermite sum
+    over ``nodes`` (see :func:`_hermite_nodes`).  The rows go in chunks of
+    ``_CHUNK``, mapped over ``pool`` when one is given.  Every row is summed
+    by its own ``w @ row``, so its result does not depend on the other rows.
     """
     u, w = nodes
-    c01, y = _x1_plus_r1(model, theta, 0.0, u, c)
-    b = math.sqrt(model.v_m1) * theta[_S1]
-    return float(w @ _positive_part_mean(r0 - (y - time1(c01)), b))
+
+    def chunk(rows: slice) -> np.ndarray:
+        th = thetas[rows]
+        c01, y = _x1_plus_r1(model, th.T[:, :, None], 0.0, u, c)
+        b = math.sqrt(model.v_m1) * th[:, _S1, None]
+        deficits = _positive_part_mean(r0[rows, None] - (y - time1(th, c01)), b)
+        return np.array([w @ row for row in deficits])
+
+    chunks = [slice(i, i + _CHUNK) for i in range(0, len(thetas), _CHUNK)]
+    return np.concatenate(list((pool.map if pool else map)(chunk, chunks)))
+
+
+def _pool(threads: int) -> ContextManager[Optional[Executor]]:
+    """A pool of ``threads`` threads for :func:`_deficit`, or no pool for one thread."""
+    if threads == 1:
+        import contextlib
+
+        return contextlib.nullcontext()
+    from concurrent.futures import ThreadPoolExecutor
+
+    return ThreadPoolExecutor(max_workers=threads)
 
 
 class _Case1R0:
@@ -549,22 +582,6 @@ class _Case1R0:
         return tail_measure(self.rm, self.y[cand] - g, self.n)
 
 
-def _per_theta(
-    fn: Callable[[np.ndarray], float], threads: int = 1
-) -> Callable[[np.ndarray], np.ndarray]:
-    """Map a single-theta objective over the rows of a theta array (optionally threaded)."""
-
-    def run(thetas: np.ndarray) -> np.ndarray:
-        if threads > 1 and len(thetas) > 1:
-            from concurrent.futures import ThreadPoolExecutor
-
-            with ThreadPoolExecutor(max_workers=threads) as ex:
-                return np.array(list(ex.map(fn, thetas)))
-        return np.array([fn(theta) for theta in thetas])
-
-    return run
-
-
 # ---------------------------------------------------------------------------
 # case 1
 # ---------------------------------------------------------------------------
@@ -588,6 +605,80 @@ def case1_upper(model: GaussianModel, region: ParamRegion) -> float:
     return val
 
 
+class _Case1Value:
+    """The fixed-prior value ``V_0^theta = R_0^theta - C_0^theta`` of one cell, per row of theta.
+
+    :meth:`exact` computes every row.  A call computes ``R_0``
+    (:class:`_Case1R0`) only for the rows that can hold the maximum and
+    returns every other row as an upper bound strictly below it, as
+    :func:`_boundary_search` allows: the maximum and its first index are
+    those of :meth:`exact`, ties included.  The bounds:
+
+    * ``R_0`` is monotone and cash-invariant in the time-1 values, and ``g``
+      moves by ``Phi <= 1`` per unit of ``a`` and by ``phi <= phi(0)`` per
+      unit of ``b``, so ``|R_0^theta - R_0^theta'| <= v0 |d beta1|
+      max|C_{0,1}| + sqrt(v0) |d sigma1| phi(0)`` over the base sample;
+    * ``r - E_theta[(r - X_1 - R_1 + V_1)^+]`` is nondecreasing in ``r``, so
+      the deficit at an upper bound of ``R_0`` gives an upper bound of the
+      value.
+
+    Both are widened by ``_BOUND_SLACK`` times the magnitudes they sum (the
+    bound, ``max |y|`` and ``|a| + b`` of ``g``) for rounding.  The first
+    anchor is the row nearest the middle of the batch; each later one is the
+    row of largest bound, until no bound reaches the best exact value.
+    """
+
+    def __init__(self, cfg: CaseConfig, model: GaussianModel, pool: Optional[Executor] = None):
+        self.c = c = gaussian_c(cfg.rm)
+        base = _p_sample(model, cfg.n, cfg.seed, c)
+        self.r0_of = _Case1R0(cfg.rm, base, model, c)
+        self.model, self.pool, self.nodes = model, pool, _hermite_nodes()
+        # the Lipschitz constants of R_0 in (beta1, sigma1)
+        self.lip = np.array(
+            [model.v0 * max(abs(base.c01[0]), abs(base.c01[-1])), math.sqrt(model.v0) * _INV_SQRT_2PI]
+        )
+        self.y_max = float(np.abs(base.y).max())
+
+    def _value(self, thetas: np.ndarray, r0: np.ndarray) -> np.ndarray:
+        def g(th: np.ndarray, c01: np.ndarray) -> np.ndarray:
+            return closed_form_g(th[:, None, [_B1, _S1]], c01, self.model, self.c)
+
+        return r0 - _deficit(self.model, thetas, r0, self.c, g, self.nodes, self.pool)
+
+    def exact(self, thetas: np.ndarray) -> np.ndarray:
+        return self._value(thetas, np.array([self.r0_of(t) for t in thetas[:, [_B1, _S1]]]))
+
+    def __call__(self, thetas: np.ndarray) -> np.ndarray:
+        m = self.model
+        theta1 = thetas[:, [_B1, _S1]]
+        scale = (
+            self.y_max
+            + self.lip[0] * np.abs(theta1[:, 0] - m.beta1)
+            + math.sqrt(m.v0) * (m.sigma1 * abs(self.c) + theta1[:, 1])
+        )
+
+        def widen(x: np.ndarray, rows: np.ndarray) -> np.ndarray:
+            return x + _BOUND_SLACK * (np.abs(x) + scale[rows])
+
+        out = np.full(len(thetas), -np.inf)
+        r0_hi = np.full(len(thetas), np.inf)
+        live = np.arange(len(thetas))
+        mid = 0.5 * (theta1.min(axis=0) + theta1.max(axis=0))
+        best, nxt = -np.inf, int(np.argmin(np.abs(theta1 - mid) @ self.lip))
+        while live.size:
+            r0 = self.r0_of(theta1[nxt])
+            live = live[live != nxt]
+            hi = widen(r0 + np.abs(theta1[live] - theta1[nxt]) @ self.lip, live)
+            r0_hi[live] = np.minimum(r0_hi[live], hi)
+            vals = self._value(thetas[[nxt, *live]], np.array([r0, *r0_hi[live]]))
+            out[nxt], best = vals[0], max(best, vals[0])
+            out[live] = widen(vals[1:], live)
+            live = live[out[live] >= best]
+            if live.size:
+                nxt = live[np.argmax(out[live])]
+        return out
+
+
 def case1_bounds(
     cfg: CaseConfig, model: GaussianModel, region: ParamRegion
 ) -> Tuple[float, float, np.ndarray]:
@@ -598,38 +689,27 @@ def case1_bounds(
     (:func:`closed_form_g` under theta's ``(beta1, sigma1)``).  The time-0 risk
     measure ``R_0^theta`` is empirical on the ``n`` base-measure paths, with
     the same bits as from all of them, but the closed form runs only on the
-    paths that can reach the loss tail (:class:`_Case1R0`).  The
+    paths that can reach the loss tail (:class:`_Case1R0`), and on the coarse
+    grids only for the theta whose bound can win (:class:`_Case1Value`).  The
     deficit-option expectation ``C_0^theta`` under theta is exact up to
     Gauss-Hermite quadrature (:func:`_deficit`).  The upper bound is the
     closed-form worst-case expected total cash flow.  Returns ``(lower, upper,
     argmax theta)``.
     """
-    c = gaussian_c(cfg.rm)
-    r0_of = _Case1R0(cfg.rm, _p_sample(model, cfg.n, cfg.seed, c), model, c)
-    nodes = _hermite_nodes()
-
-    def value(theta: np.ndarray) -> float:
-        theta1 = theta[[_B1, _S1]]
-
-        def g(c01: np.ndarray) -> np.ndarray:
-            return closed_form_g(theta1, c01, model, c)
-
-        r0 = r0_of(theta1)
-        return r0 - _deficit(model, theta, r0, c, g, nodes)
-
-    objective = _per_theta(value, cfg.threads)
-    lower, arg = _boundary_search(
-        region, objective, maximize=True, m=_M_SEARCH, positive=(_S0, _S1)
-    )
-    if not region.is_point:
-        # Boundary attainment of the supremum is plausible but unproven; a
-        # coarse interior sweep flags any clear counterexample.
-        inner = interior_grid(region, 64, positive=(_S0, _S1))
-        excess = float(objective(inner).max()) - lower
-        if excess > 0.005:
-            logger.warning(
-                "interior point beats the boundary maximum by %.4f", excess
-            )
+    with _pool(cfg.threads) as pool:
+        objective = _Case1Value(cfg, model, pool)
+        lower, arg = _boundary_search(
+            region, objective, maximize=True, m=_M_SEARCH, positive=(_S0, _S1)
+        )
+        if not region.is_point:
+            # Boundary attainment of the supremum is plausible but unproven; a
+            # coarse interior sweep flags any clear counterexample.
+            inner = interior_grid(region, 64, positive=(_S0, _S1))
+            excess = float(objective(inner).max()) - lower
+            if excess > 0.005:
+                logger.warning(
+                    "interior point beats the boundary maximum by %.4f", excess
+                )
     return lower, case1_upper(model, region), arg
 
 
@@ -642,16 +722,17 @@ def case1_bounds(
 class HFit:
     """Piecewise-linear map from ``C_{0,1}`` to the time-1 deficit-option value.
 
-    Knot values are ``h`` (:func:`_h_exact`) over ``points``, the boundary
-    grid of the projected ``(beta1, sigma1)`` region; evaluation clamps
-    outside the knot range and counts how often that happened.  The table
-    serves the Monte Carlo sample of ``R_0`` only; the time-0 deficit
-    expectation evaluates ``h`` exactly at its quadrature nodes.
+    Knot values are ``h`` (:func:`_h_exact`) over ``points``, the two Pareto
+    arcs of the boundary grid of the projected ``(beta1, sigma1)`` region
+    (:func:`_pareto_arcs`); evaluation clamps outside the knot range and
+    counts how often that happened.  The table serves the Monte Carlo sample
+    of ``R_0`` only; the time-0 deficit expectation evaluates ``h`` exactly
+    at its quadrature nodes.
     """
 
     knots: np.ndarray
     values: np.ndarray
-    points: np.ndarray
+    points: Tuple[np.ndarray, np.ndarray]
     n_clamped: int = 0
 
     def __call__(self, c01: np.ndarray) -> np.ndarray:
@@ -664,9 +745,43 @@ class HFit:
         return np.interp(c01, self.knots, self.values)
 
 
-def _h_exact(model: GaussianModel, points: np.ndarray, c01: np.ndarray, c: float) -> np.ndarray:
-    """The time-1 value ``h`` at each ``C_{0,1}``: :func:`closed_form_g` minimized over ``points``."""
-    return closed_form_g(points[:, None, :], c01[None, :], model, c).min(axis=0)
+def _pareto_arcs(points: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """The ``(beta1, sigma1)`` points that can minimize :func:`closed_form_g`, by the sign of ``C_{0,1}``.
+
+    ``g`` increases in ``a`` and ``b``; ``b`` grows with ``sigma1``, and ``a``
+    falls with ``beta1`` where ``C_{0,1} > 0`` and grows with it where
+    ``C_{0,1} < 0``.  So the minimum over ``points`` is attained on the first
+    arc, the points that no other point matches or beats in both larger
+    ``beta1`` and smaller ``sigma1``, where ``C_{0,1} >= 0``; and on the
+    second, the same with smaller ``beta1``, where ``C_{0,1} < 0``.  At
+    ``C_{0,1} = 0``, ``a`` is the same for every point and both arcs hold
+    the smallest ``sigma1``.
+    """
+
+    def arc(beta1: np.ndarray) -> np.ndarray:
+        order = np.lexsort((points[:, 1], -beta1))  # beta1 descending, then sigma1 ascending
+        sigma1 = points[order, 1]
+        lowest_before = np.minimum.accumulate(np.concatenate([[np.inf], sigma1[:-1]]))
+        return points[order[sigma1 < lowest_before]]
+
+    return arc(points[:, 0]), arc(-points[:, 0])
+
+
+def _h_exact(
+    model: GaussianModel, arcs: Tuple[np.ndarray, np.ndarray], c01: np.ndarray, c: float
+) -> np.ndarray:
+    """The time-1 value ``h`` at each ``C_{0,1}``: :func:`closed_form_g` minimized over ``arcs``.
+
+    ``arcs`` are the :func:`_pareto_arcs` of a grid; the result has the bits
+    of the minimum over the whole grid.
+    """
+    c01 = np.asarray(c01, dtype=np.float64)
+    out = np.empty(c01.shape)
+    up = c01 >= 0.0
+    for arc, at in zip(arcs, (up, ~up)):
+        if at.any():
+            out[at] = closed_form_g(arc[:, None, :], c01[at][None, :], model, c).min(axis=0)
+    return out
 
 
 def fit_h(model: GaussianModel, proj: ParamRegion, c: float) -> HFit:
@@ -674,15 +789,15 @@ def fit_h(model: GaussianModel, proj: ParamRegion, c: float) -> HFit:
 
     ``_KNOTS`` knots span +/- 6 conditional standard deviations of
     ``C_{0,1}`` around its base-measure mean; each knot value is
-    :func:`_h_exact` over the ``_M_BOUNDARY``-point boundary grid of the
-    ``(beta1, sigma1)`` projection.  The table is read on the Monte Carlo
-    sample of ``R_0``; the grid is kept as ``points`` so that the time-0
-    deficit expectation evaluates ``h`` exactly at its nodes.
+    :func:`_h_exact` over the Pareto arcs of the ``_M_BOUNDARY``-point
+    boundary grid of the ``(beta1, sigma1)`` projection.  The table is read on
+    the Monte Carlo sample of ``R_0``; the arcs are kept as ``points`` so
+    that the time-0 deficit expectation evaluates ``h`` exactly at its nodes.
     """
     sd = model.sigma0 / math.sqrt(model.v0)
     xs = np.linspace(model.beta0 - 6.0 * sd, model.beta0 + 6.0 * sd, _KNOTS)
-    points = boundary_grid(proj, _M_BOUNDARY, positive=(1,)).points  # (m, 2)
-    return HFit(knots=xs, values=_h_exact(model, points, xs, c), points=points)
+    arcs = _pareto_arcs(boundary_grid(proj, _M_BOUNDARY, positive=(1,)).points)
+    return HFit(knots=xs, values=_h_exact(model, arcs, xs, c), points=arcs)
 
 
 def case2_upper(model: GaussianModel, region: ParamRegion) -> float:
@@ -726,11 +841,11 @@ def case2_value(
 
     The time-1 layer re-optimizes ``(beta1, sigma1)`` per state: ``h`` is the
     minimum of :func:`closed_form_g` over the boundary grid of the projected
-    region.  The time-0 risk measure is empirical on the ``n`` base-measure
-    paths, read through the tabulated ``h`` (:func:`fit_h`), once per cell.
-    The deficit-option expectation is exact up to Gauss-Hermite quadrature
-    (:func:`_deficit`, with ``h`` exact at the nodes) and is minimized over
-    the region boundary.
+    region, taken on its Pareto arcs.  The time-0 risk measure is empirical on
+    the ``n`` base-measure paths, read through the tabulated ``h``
+    (:func:`fit_h`), once per cell.  The deficit-option expectation is exact
+    up to Gauss-Hermite quadrature (:func:`_deficit`, with ``h`` exact at the
+    nodes) and is minimized over the region boundary.
     """
     c = gaussian_c(cfg.rm)
     base = _p_sample(model, cfg.n, cfg.seed, c)
@@ -738,15 +853,17 @@ def case2_value(
     r0 = float(apply_empirical(cfg.rm, -(base.y - h(base.c01))))
     nodes = _hermite_nodes()
 
-    def h_exact(c01: np.ndarray) -> np.ndarray:
+    def h_exact(thetas: np.ndarray, c01: np.ndarray) -> np.ndarray:
         return _h_exact(model, h.points, c01, c)
 
-    def deficit(theta: np.ndarray) -> float:
-        return _deficit(model, theta, r0, c, h_exact, nodes)
+    with _pool(cfg.threads) as pool:
 
-    c0, arg = _boundary_search(
-        region, _per_theta(deficit, cfg.threads), maximize=False, m=_M_SEARCH, positive=(_S0, _S1)
-    )
+        def deficit(thetas: np.ndarray) -> np.ndarray:
+            return _deficit(model, thetas, np.full(len(thetas), r0), c, h_exact, nodes, pool)
+
+        c0, arg = _boundary_search(
+            region, deficit, maximize=False, m=_M_SEARCH, positive=(_S0, _S1)
+        )
     return r0 - c0, case2_upper(model, region), arg
 
 

@@ -24,11 +24,13 @@ from ambival.gaussian import (
     _BaseSample,
     _boundary_search,
     _Case1R0,
+    _Case1Value,
     _deficit,
     _estimators,
     _h_exact,
     _hermite_nodes,
     _p_sample,
+    _pareto_arcs,
     case1_bounds,
     case1_upper,
     case2_upper,
@@ -339,6 +341,19 @@ class TestBoundarySearch:
         assert val == 5.0
 
 
+    @pytest.mark.parametrize("maximize, expected", [(True, 1.0), (False, 0.0)])
+    def test_polish_is_kept_only_where_it_improves(self, maximize, expected):
+        # 0 on the coarse grid and 1 at every single point the polish visits:
+        # better than the grid when maximizing, worse when minimizing
+        region = ellipsoid_region(np.array([10.0, 10.0]), np.diag([1.0, 4.0]), 0.9)
+
+        def obj(pts):
+            return np.full(len(pts), 0.0 if len(pts) > 1 else 1.0)
+
+        val, _ = _boundary_search(region, obj, maximize=maximize, m=16, positive=())
+        assert val == expected
+
+
 class TestCaseBounds:
     def setup_method(self):
         self.model = paper_model()
@@ -498,6 +513,67 @@ class TestCase1R0:
             _Case1R0(rm, base, m, gaussian_c(rm))
 
 
+class TestCase1Value:
+    """The pruned case-1 value against a sweep that computes every theta."""
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        p=st.floats(0.05, 0.95),
+        kind=st.sampled_from([VAR, AVAR]),
+        level=st.sampled_from([0.005, 0.01, 0.05, 0.1, 0.2]),
+        n=st.integers(1000, 5000),
+        cloud_seed=st.integers(0, 3),
+        seed=st.integers(0, 2**32),
+        base=st.sampled_from([(0.2, 0.2), (1e-6, 0.2), (0.2, 2.0), (1e-6, 2.0)]),
+        toward=st.sampled_from([-np.inf, np.inf]),
+    )
+    def test_pruned_search_equals_the_full_sweep(
+        self, p, kind, level, n, cloud_seed, seed, base, toward
+    ):
+        # The region is the paper model's; the base measure's (sigma0, sigma1)
+        # vary.  A small sigma0 makes the max|C_{0,1}| term of the R_0 bound
+        # sharp, and a large sigma1 puts R_0 far in the tail of the loss under
+        # the region's theta, where the value hardly moves with R_0.  Each
+        # grid point's copy one ulp away in (beta1, sigma1) then has a value
+        # bound equal to its value up to rounding.
+        paper = paper_model()
+        m = replace(paper, sigma0=base[0], sigma1=base[1])
+        region = region_for(estimator_cloud(paper, 1000, seed=cloud_seed), p)
+        cfg = CaseConfig(rm=RiskMeasureSpec(kind, level), n=n, seed=seed)
+        value = _Case1Value(cfg, m)
+        grid = boundary_grid(region, 512, positive=(1, 3)).points
+        near = grid.copy()
+        near[:, 2:] = np.nextafter(grid[:, 2:], toward)
+        for thetas in (grid, interior_grid(region, 64, positive=(1, 3)), np.vstack([grid, near])):
+            full, pruned = value.exact(thetas), value(thetas)
+            best = int(np.argmax(full))
+            assert int(np.argmax(pruned)) == best
+            assert pruned[best].tobytes() == full[best].tobytes()
+            assert np.all(pruned >= full)
+            ties = full == full[best]
+            assert np.all(pruned[~ties] < pruned[best])
+            assert pruned[ties].tobytes() == full[ties].tobytes()
+        got = case1_bounds(cfg, m, region)
+        with mock.patch.object(_Case1Value, "__call__", _Case1Value.exact):
+            swept = case1_bounds(cfg, m, region)
+        assert np.array(got[:2]).tobytes() == np.array(swept[:2]).tobytes()
+        assert got[2].tobytes() == swept[2].tobytes()
+
+    def test_batched_deficit_equals_each_row_alone(self):
+        m = paper_model()
+        region = region_for(estimator_cloud(m, 1000, seed=0), 0.5)
+        thetas = boundary_grid(region, 37, positive=(1, 3)).points
+        r0 = np.linspace(1.3, 1.6, len(thetas))
+        c = gaussian_c(RiskMeasureSpec(VAR, 0.05))
+
+        def g(th, c01):
+            return closed_form_g(th[:, None, [2, 3]], c01, m, c)
+
+        batch = _deficit(m, thetas, r0, c, g, _hermite_nodes())
+        alone = [_deficit(m, t[None, :], r0[[i]], c, g, _hermite_nodes()) for i, t in enumerate(thetas)]
+        assert batch.tobytes() == np.concatenate(alone).tobytes()
+
+
 class TestTimeZeroDeficit:
     """The time-0 deficit expectation by Gauss-Hermite quadrature, on the seed-0 p = 0.9 region."""
 
@@ -517,7 +593,7 @@ class TestTimeZeroDeficit:
         c = gaussian_c(rm)
         eps_m12, eps_01 = simulate_paths(2, 10**6, seed=7).T
         base = _p_sample(m, 10**5, 0, c)
-        points = boundary_grid(project_region(region, [2, 3]), 24, positive=(1,)).points
+        arcs = _pareto_arcs(boundary_grid(project_region(region, [2, 3]), 24, positive=(1,)).points)
         rng = np.random.default_rng(case)
         on = boundary_grid(region, 64, positive=(1, 3)).points[rng.choice(64, 2, replace=False)]
         inside = interior_grid(region, 64, positive=(1, 3))[rng.choice(64, 2, replace=False)]
@@ -526,7 +602,7 @@ class TestTimeZeroDeficit:
             def time1(c01, theta=theta):
                 if case == 1:
                     return closed_form_g(theta[[2, 3]], c01, m, c)
-                return _h_exact(m, points, c01, c)
+                return _h_exact(m, arcs, c01, c)
 
             r0 = apply_empirical(rm, -(base.y - time1(base.c01)))
             b0, s0, b1, s1 = theta
@@ -534,7 +610,9 @@ class TestTimeZeroDeficit:
             x1 = m.v_m1 * (b1 - 1.0) * m.c_m11 + math.sqrt(m.v_m1) * s1 * eps_m12 + m.v0 * c01
             sample = np.maximum(r0 - (x1 + r1_closed_form(c01, m, c) - time1(c01)), 0.0)
             se = sample.std(ddof=1) / math.sqrt(len(sample))
-            got = _deficit(m, theta, r0, c, time1, _hermite_nodes())
+            got = _deficit(
+                m, theta[None, :], np.array([r0]), c, lambda th, c01: time1(c01), _hermite_nodes()
+            )[0]
             assert se > 1e-4 and abs(got - sample.mean()) < 4.0 * se
 
     @pytest.mark.parametrize("case, tol", [(1, 1e-10), (2, 1e-6)])
@@ -560,6 +638,48 @@ class TestHFit:
             h(h.knots), closed_form_g(np.array([m.beta1, m.sigma1]), h.knots, m, c),
             atol=1e-12,
         )
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        beta1=st.floats(0.5, 2.5),
+        sigma1=st.floats(0.05, 1.0),
+        sd=st.tuples(st.floats(1e-3, 0.5), st.floats(1e-3, 1.0 / 3.0)),
+        rho=st.one_of(st.just(0.0), st.floats(-0.99, 0.99)),
+        p=st.floats(0.05, 0.95),
+        m_points=st.sampled_from([2, 3, 5, 24, 360]),
+        c01=st.lists(
+            st.one_of(st.floats(-3.0, 3.0), st.floats(-1e-12, 1e-12), st.sampled_from([0.0, -0.0])),
+            min_size=1, max_size=40,
+        ),
+        repeat=st.integers(0, 3),
+    )
+    def test_h_on_the_arcs_is_the_grid_minimum(
+        self, beta1, sigma1, sd, rho, p, m_points, c01, repeat
+    ):
+        # sd[1] is relative to sigma1, so the grid keeps sigma1 > 0
+        m = paper_model()
+        c = gaussian_c(RiskMeasureSpec(VAR, 0.05))
+        s_b, s_s = sd[0], sd[1] * sigma1 / math.sqrt(chi2.ppf(p, 2))
+        cov = np.array([[s_b**2, rho * s_b * s_s], [rho * s_b * s_s, s_s**2]])
+        points = boundary_grid(ellipsoid_region(np.array([beta1, sigma1]), cov, p), m_points).points
+        c01 = np.array(c01 + [0.0] + c01[:repeat])
+        full = closed_form_g(points[:, None, :], c01[None, :], m, c).min(axis=0)
+        arcs = _pareto_arcs(points)
+        assert _h_exact(m, arcs, c01, c).tobytes() == full.tobytes()
+        for arc in arcs:
+            assert arc.ndim == 2 and 1 <= len(arc) <= len(points)
+
+    @pytest.mark.parametrize("p", TABLE1_P)
+    def test_knots_are_the_grid_minimum(self, p):
+        # the seed-0 Table-1 region: h over all 360 boundary points at the knots
+        m = paper_model()
+        c = gaussian_c(RiskMeasureSpec(VAR, 0.01))
+        proj = project_region(region_for(estimator_cloud(m, 10**5, seed=0), p), [2, 3])
+        h = fit_h(m, proj, c)
+        points = boundary_grid(proj, 360, positive=(1,)).points
+        full = closed_form_g(points[:, None, :], h.knots[None, :], m, c).min(axis=0)
+        assert h.values.tobytes() == full.tobytes()
+        assert sum(len(arc) for arc in h.points) < len(points)
 
     def test_clamping_is_counted(self):
         m = paper_model()
