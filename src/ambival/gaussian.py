@@ -592,8 +592,12 @@ def case1_upper(model: GaussianModel, region: ParamRegion) -> float:
 
     ``sup over Theta of v_{-1} (beta1 - 1) C_{-1,1} + v0 beta0 beta1``; only
     ``(beta0, beta1)`` enter, and the objective is affine-plus-bilinear, so it
-    is maximized on the boundary of that projection: ``_boundary_search`` over
-    ``_M_UPPER`` boundary points, as for the case-2 upper bound.
+    is maximized on the boundary of that projection.  There,
+    ``(beta0, beta1) = c + r L (cos phi, sin phi)``, it is a trigonometric
+    polynomial of degree 2 in ``phi``: its critical points are the real roots
+    of a quartic in ``tan(phi / 2)``, and ``phi = pi``.  The maximum is the
+    largest value among them, so it is exact, not found from below.  Complex
+    roots enter with their real part, which only adds boundary points.
     """
 
     def obj(thetas: np.ndarray) -> np.ndarray:
@@ -601,8 +605,21 @@ def case1_upper(model: GaussianModel, region: ParamRegion) -> float:
         return model.v_m1 * (b1 - 1.0) * model.c_m11 + model.v0 * b0 * b1
 
     proj = project_region(region, [_B0, _B1])
-    val, _ = _boundary_search(proj, obj, maximize=True, m=_M_UPPER, positive=())
-    return val
+    if proj.is_point:
+        return float(obj(proj.center[None, :])[0])
+    scaled = math.sqrt(proj.radius2) * proj.chol
+    (c0, c1), ((a0, a1), (e0, e1)) = proj.center, scaled
+    lin, bil = model.v_m1 * model.c_m11, model.v0
+    # obj = const + k1 cos phi + k2 sin phi + k3 cos 2 phi + k4 sin 2 phi
+    k1 = lin * e0 + bil * (c0 * e0 + c1 * a0)
+    k2 = lin * e1 + bil * (c0 * e1 + c1 * a1)
+    k3 = bil * (a0 * e0 - a1 * e1) / 2.0
+    k4 = bil * (a0 * e1 + a1 * e0) / 2.0
+    # (1 + t^2)^2 d obj / d phi at t = tan(phi / 2), ascending powers of t
+    quartic = [k2 + 2.0 * k4, -2.0 * k1 - 8.0 * k3, -12.0 * k4, 8.0 * k3 - 2.0 * k1, 2.0 * k4 - k2]
+    roots = np.polynomial.polynomial.polyroots(np.trim_zeros(quartic, "b"))
+    phis = np.append(2.0 * np.arctan(roots.real), np.pi)
+    return float(obj(proj.center + np.column_stack([np.cos(phis), np.sin(phis)]) @ scaled.T).max())
 
 
 class _Case1Value:
@@ -695,6 +712,17 @@ def case1_bounds(
     Gauss-Hermite quadrature (:func:`_deficit`).  The upper bound is the
     closed-form worst-case expected total cash flow.  Returns ``(lower, upper,
     argmax theta)``.
+
+    Why the boundary: under theta, ``C_{0,1} = beta0 + sigma0 / sqrt(v0)
+    eps_{0,1}`` grows with ``beta0`` path by path, and the time-0 loss
+    ``L = X_1 + R_1 - V_1`` grows with ``C_{0,1}`` at the rate ``v0 ((1 - Phi)
+    beta1_P + Phi beta1)``, with ``beta1_P`` the model's ``beta1`` and
+    ``Phi`` the slope of ``g`` in its ``a``.  ``R_0^theta`` does not read
+    ``beta0``.  So when ``beta1 > 0`` over the region and ``beta1_P > 0``,
+    ``V_0^theta`` is nondecreasing in ``beta0``, node by node of the
+    quadrature, and the supremum is attained on the boundary, where the
+    outward normal has a nonnegative ``beta0`` component.  The conditions are
+    not checked; the interior sweep below logs any clear counterexample.
     """
     with _pool(cfg.threads) as pool:
         objective = _Case1Value(cfg, model, pool)
@@ -702,8 +730,9 @@ def case1_bounds(
             region, objective, maximize=True, m=_M_SEARCH, positive=(_S0, _S1)
         )
         if not region.is_point:
-            # Boundary attainment of the supremum is plausible but unproven; a
-            # coarse interior sweep flags any clear counterexample.
+            # Boundary attainment holds under the conditions of the lemma in
+            # the docstring, which are not checked; a coarse interior sweep
+            # flags any clear counterexample.
             inner = interior_grid(region, 64, positive=(_S0, _S1))
             excess = float(objective(inner).max()) - lower
             if excess > 0.005:
@@ -846,6 +875,17 @@ def case2_value(
     (:func:`fit_h`), once per cell.  The deficit-option expectation is exact
     up to Gauss-Hermite quadrature (:func:`_deficit`, with ``h`` exact at the
     nodes) and is minimized over the region boundary.
+
+    Why the boundary: the time-0 loss ``L = X_1 + R_1 - h`` grows with
+    ``C_{0,1}`` at a rate of at least ``v0 min(beta1_P, beta1_min)``, with
+    ``beta1_P`` the model's ``beta1`` and ``beta1_min`` the region's
+    smallest, since ``h`` is a minimum of :func:`closed_form_g` over the
+    region.  ``C_{0,1}`` grows with theta's ``beta0``, and theta's ``beta1``
+    enters only ``X_1``, as ``v_{-1} (beta1 - 1) c_{-1,1}``.  So when both
+    ``beta1`` are positive, the deficit at a fixed ``R_0`` is nonincreasing
+    in ``beta0``, and in ``beta1`` too when ``c_{-1,1} > 0``, node by node of
+    the quadrature: the infimum is attained on the boundary.  The conditions
+    are not checked here; :func:`case2_upper` requires ``beta1 > 1``.
     """
     c = gaussian_c(cfg.rm)
     base = _p_sample(model, cfg.n, cfg.seed, c)

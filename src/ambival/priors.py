@@ -53,6 +53,12 @@ class DensityFamily:
     weights of the block's children only, in level order, equal to the
     matching slice of the whole-level weights bit for bit.  The default
     slices the whole-level factors.
+
+    ``out``, when given, is scratch storage of the returned shape, float64
+    and contiguous, that the caller reuses for the next call: a family may
+    write the weights into it and return it, or ignore it and return any
+    array, a read-only view included.  Whatever it returns is only read,
+    and only until the next call.
     """
 
     region: Optional["ParamRegion"] = None
@@ -60,7 +66,13 @@ class DensityFamily:
     def factors(self, t: int, theta: Any) -> np.ndarray:
         raise ValidationError(f"{type(self).__name__} has no lattice factors")
 
-    def weights(self, t: int, theta: Any, block: Optional[LevelBlock] = None) -> np.ndarray:
+    def weights(
+        self,
+        t: int,
+        theta: Any,
+        block: Optional[LevelBlock] = None,
+        out: Optional[np.ndarray] = None,
+    ) -> np.ndarray:
         f = self.factors(t, theta)
         return f if block is None else f[block.children]
 
@@ -71,8 +83,9 @@ class ExponentialTiltFamily(DensityFamily):
     ``f_t(theta)`` at a node is ``exp(theta * score) / Z(parent)`` with the
     normalizer chosen per parent, so conditional mean 1 holds exactly by
     construction and every factor is strictly positive.  Its weights are
-    ``exp(theta * score)``.  A scalar score stands for the same score at
-    every node of its level; scores must be finite.
+    ``exp(theta * score)``, formed in place in ``out`` when one is given.  A
+    scalar score stands for the same score at every node of its level;
+    scores must be finite.
     """
 
     def __init__(
@@ -97,12 +110,19 @@ class ExponentialTiltFamily(DensityFamily):
             self.scores.append(s)
         self.region = region
 
-    def weights(self, t: int, theta: Any, block: Optional[LevelBlock] = None) -> np.ndarray:
+    def weights(
+        self,
+        t: int,
+        theta: Any,
+        block: Optional[LevelBlock] = None,
+        out: Optional[np.ndarray] = None,
+    ) -> np.ndarray:
         theta = np.asarray(theta, dtype=np.float64)
         if theta.size != 1:
             raise ValidationError(f"tilt parameter must be a scalar, got {theta.size} values")
         scores = self.scores[t] if block is None else self.scores[t][block.children]
-        return np.exp(float(theta.reshape(-1)[0]) * scores)
+        out = np.multiply(float(theta.reshape(-1)[0]), scores, out=out)
+        return np.exp(out, out=out)
 
     def factors(self, t: int, theta: Any) -> np.ndarray:
         lat = self.lattice

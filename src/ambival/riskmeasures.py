@@ -121,9 +121,12 @@ def apply_discrete(
     mean of the upper-``q`` loss tail, the marginal atom entering with
     fractional weight.  Tied atoms keep their index order.  Segments of equal
     size are measured as the rows of matrices of at most ``_BLOCK`` atoms, so
-    cumulative sums run within each segment and scratch memory stays bounded:
-    ``values`` is checked in place and only each gathered matrix is negated
-    into losses, so the level is never copied whole.
+    cumulative sums run within each segment and scratch memory stays bounded.
+    Where the segments of one size follow each other, as on every level of
+    equal width, the matrices are reshaped views of ``values`` and
+    ``probs``; otherwise they are gathered by index.  ``values`` is checked in
+    place and only each matrix is negated into losses, so the level is never
+    copied whole.
     """
     values = _checked(values)
     probs = np.asarray(probs, dtype=np.float64)
@@ -137,9 +140,19 @@ def apply_discrete(
     for size in np.unique(sizes):
         seg = np.flatnonzero(sizes == size)
         step = max(1, _BLOCK // size)
-        for part in (seg[i : i + step] for i in range(0, len(seg), step)):
-            idx = offsets[part, None] + np.arange(size)
-            out[part] = _measure_rows(spec, -values[idx], probs[idx])
+        run = seg[-1] - seg[0] + 1 == len(seg)
+        if run:  # consecutive segments: their atoms are the rows of a view
+            atoms = slice(offsets[seg[0]], offsets[seg[-1] + 1])
+            run_values = values[atoms].reshape(-1, size)
+            run_probs = probs[atoms].reshape(-1, size)
+        for i in range(0, len(seg), step):
+            part = seg[i : i + step]
+            if run:
+                losses, p = -run_values[i : i + step], run_probs[i : i + step]
+            else:
+                idx = offsets[part, None] + np.arange(size)
+                losses, p = -values[idx], probs[idx]
+            out[part] = _measure_rows(spec, losses, p)
     return out
 
 

@@ -27,9 +27,13 @@ however the level is cut into blocks.
 Memory: besides its inputs and its outputs, the recursion holds at most two
 level-sized float arrays at a time, the position ``-X_{t+1} - V_{t+1}`` and
 the surplus, each reused in place for the next quantity.  The risk measure
-(``apply_discrete``) checks the position in place and negates only the
-block-sized matrices it gathers, so it makes no whole-level copy, and the
-worst-case expectation's scratch is block-sized.
+(``apply_discrete``) checks the position in place and negates only
+block-sized matrices, views of the level where its segments have equal
+size, so it makes no whole-level copy.  The worst-case expectation's scratch
+is block-sized and allocated once per call: one weights array that the
+family may write into (``DensityFamily.weights``'s ``out``) replaces an
+allocation per grid point and block, and the row sums go straight into the
+block's table.
 """
 
 from __future__ import annotations
@@ -168,7 +172,11 @@ def worst_case_cond_exp(
     row dot products (``einsum``, whose order within a row does not depend on
     the number of rows); a smaller or ragged level sums through
     ``lattice.cond_sum``.  Either way each parent's sums cover the same
-    children in the same order as a whole-level pass.
+    children in the same order as a whole-level pass.  The weights go into
+    one block-sized scratch array, handed to the family as ``out`` for every
+    grid point and block; each block's table is checked for non-finite
+    entries once, and the first bad grid point, then its first state, is
+    named.
     """
     if len(grid) == 0:
         raise ValidationError("parameter grid must be nonempty")
@@ -180,8 +188,14 @@ def worst_case_cond_exp(
     probs = lattice.probs[t + 1]
     # decided per level, so that every block of a level sums the same way
     width = lattice.widths[t] if n_next >= _ROW_MIN_CHILDREN else 0
+    blocks = lattice.blocks[t]
+    most = max(n_next if b is None else b.children.stop - b.children.start for b in blocks)
+    # reused across the grid and the blocks: the weights, and the denominator
+    # per parent (rows) or the products per child (ragged)
+    w_out = np.empty(most)
+    scratch = np.empty(most // width if width else most)
     mins, args = [], []
-    for block in lattice.blocks[t]:
+    for block in blocks:
         if block is None:  # the whole level
             p, v, first, n = probs, values_next, 0, lattice.n_nodes(t)
         else:
@@ -192,23 +206,30 @@ def worst_case_cond_exp(
             p, pv = p.reshape(n, width), pv.reshape(n, width)
         table = np.empty((len(grid), n))
         for i, theta in enumerate(grid):
-            w = np.asarray(family.weights(t + 1, theta, block), dtype=np.float64)
+            w = family.weights(t + 1, theta, block, out=w_out[: len(v)])
+            w = np.asarray(w, dtype=np.float64)
             if w.shape != v.shape:
                 raise ValidationError(
                     f"weights at level {t + 1} for theta={theta!r} have shape "
                     f"{w.shape}, not {v.shape}"
                 )
+            row = table[i]
             if width:
-                w = w.reshape(n, width)
-                row = np.einsum("ij,ij->i", w, pv) / np.einsum("ij,ij->i", w, p)
+                w, den = w.reshape(n, width), scratch[:n]
+                np.einsum("ij,ij->i", w, pv, out=row)
+                np.einsum("ij,ij->i", w, p, out=den)
             else:
-                row = lattice.cond_sum(t, w * pv, block) / lattice.cond_sum(t, w * p, block)
-            if not np.all(np.isfinite(row)):
-                bad = first + int(np.argmax(~np.isfinite(row)))
-                raise NumericalError(
-                    f"non-finite reweighted expectation at t={t}, state {bad}, theta={theta!r}"
-                )
-            table[i] = row
+                prod = scratch[: len(v)]
+                row[:] = lattice.cond_sum(t, np.multiply(w, pv, out=prod), block)
+                den = lattice.cond_sum(t, np.multiply(w, p, out=prod), block)
+            row /= den
+        finite = np.isfinite(table)
+        if not finite.all():  # the first theta, then its first state, as the grid runs
+            i, j = np.unravel_index(np.argmin(finite), finite.shape)
+            raise NumericalError(
+                f"non-finite reweighted expectation at t={t}, state {first + j}, "
+                f"theta={grid[i]!r}"
+            )
         arg = np.argmin(table, axis=0)
         mins.append(table[arg, np.arange(len(arg))])
         args.append(arg)

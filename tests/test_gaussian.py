@@ -7,7 +7,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 from scipy.stats import chi2, norm
@@ -31,6 +31,7 @@ from ambival.gaussian import (
     _hermite_nodes,
     _p_sample,
     _pareto_arcs,
+    _x1_plus_r1,
     case1_bounds,
     case1_upper,
     case2_upper,
@@ -45,6 +46,7 @@ from ambival.gaussian import (
     simulate_triangle,
 )
 from ambival.priors import (
+    ParamRegion,
     boundary_grid,
     density_process,
     ellipsoid_region,
@@ -386,6 +388,37 @@ class TestCaseBounds:
         dense = np.max(m.v_m1 * (pts[:, 1] - 1.0) * m.c_m11 + m.v0 * pts[:, 0] * pts[:, 1])
         assert abs(case1_upper(m, region) - dense) <= 1e-9
 
+    @settings(max_examples=200, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), flat=st.sampled_from([1.0, 1e-2, 1e-4, 1e-5]))
+    def test_case1_upper_is_never_below_a_boundary_grid(self, seed, flat):
+        # random models and ellipses; a small ``flat`` makes beta1 nearly a
+        # multiple of beta0 on the region, so the projected ellipse nearly a segment
+        rng = np.random.default_rng(seed)
+        m = GaussianModel(
+            beta0=rng.uniform(-2.0, 2.0),
+            sigma0=0.2,
+            beta1=rng.uniform(-2.0, 2.0),
+            sigma1=0.2,
+            exposures=rng.uniform(0.25, 4.0, 11),
+            c_m11=rng.uniform(-2.0, 2.0),
+        )
+        chol = np.tril(rng.normal(size=(4, 4)), -1) + np.diag(rng.uniform(0.1, 1.0, 4))
+        chol[2, 1:] *= flat
+        region = ParamRegion(
+            center=rng.uniform(-2.0, 2.0, 4),
+            chol=chol * 10.0 ** rng.uniform(-3.0, 1.0),
+            radius2=rng.uniform(0.01, 10.0),
+        )
+        proj = project_region(region, [0, 2])
+        ang = 2.0 * np.pi * np.arange(4096) / 4096
+        pts = proj.center + math.sqrt(proj.radius2) * (
+            np.column_stack([np.cos(ang), np.sin(ang)]) @ proj.chol.T
+        )
+        lin = m.v_m1 * (pts[:, 1] - 1.0) * m.c_m11
+        bil = m.v0 * pts[:, 0] * pts[:, 1]
+        scale = np.max(np.abs(lin) + np.abs(m.v_m1 * m.c_m11) + np.abs(bil))
+        assert case1_upper(m, region) >= np.max(lin + bil) - 1e-12 * scale
+
     def test_case1_bounds_ordered(self):
         region = region_for(self.cloud, 0.1)
         lower, upper, arg = case1_bounds(self.fast_cfg(), self.model, region)
@@ -572,6 +605,96 @@ class TestCase1Value:
         batch = _deficit(m, thetas, r0, c, g, _hermite_nodes())
         alone = [_deficit(m, t[None, :], r0[[i]], c, g, _hermite_nodes()) for i, t in enumerate(thetas)]
         assert batch.tobytes() == np.concatenate(alone).tobytes()
+
+
+@st.composite
+def monotone_problems(draw):
+    """``(model, region, thetas, steps)``: a random model and region with beta1 > 0
+    and positive volatilities over the region, as well as the model's beta1 > 0;
+    points inside the region and an upward step of 1e-3 to 3e-2 for each."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    m = GaussianModel(
+        beta0=rng.uniform(0.2, 2.0),
+        sigma0=rng.uniform(0.05, 0.5),
+        beta1=rng.uniform(0.1, 2.5),
+        sigma1=rng.uniform(0.05, 0.5),
+        exposures=rng.uniform(0.25, 4.0, 11),
+        c_m11=rng.uniform(-1.0, 2.0),
+    )
+    sd = m.theta * rng.uniform(0.02, 0.2, 4)
+    a = rng.normal(size=(4, 4))
+    cov = a @ a.T + 4.0 * np.eye(4)
+    corr = cov / np.sqrt(np.outer(np.diag(cov), np.diag(cov)))
+    region = ellipsoid_region(
+        m.theta + rng.normal(0.0, sd), sd[:, None] * corr * sd[None, :], draw(st.floats(0.1, 0.9))
+    )
+    r = math.sqrt(region.radius2)
+    lowest = region.center - r * np.sqrt(np.sum(region.chol**2, axis=1))
+    assume(np.all(lowest[1:] > 0.0))
+    s = rng.normal(size=(8, 4))
+    s *= rng.uniform(0.0, 1.0, (8, 1)) ** 0.25 / np.linalg.norm(s, axis=1, keepdims=True)
+    thetas = region.center + r * s @ region.chol.T
+    return m, region, thetas, rng.uniform(1e-3, 3e-2, 8)
+
+
+def moved(region, thetas, steps, coord):
+    """The rows of ``thetas`` whose step up in ``coord`` stays in the region, before and after."""
+    up = thetas.copy()
+    up[:, coord] += steps
+    inside = region.mahalanobis2(up) <= region.radius2
+    return thetas[inside], up[inside]
+
+
+class TestMonotoneInBeta0:
+    """The boundary-attainment lemma of ``case1_bounds`` and ``case2_value``:
+    with beta1 > 0 over the region and the model's beta1 > 0, the case-1 value
+    does not fall and the case-2 deficit does not rise when beta0 rises; the
+    case-2 deficit neither when beta1 rises and ``c_{-1,1} > 0``."""
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        problem=monotone_problems(),
+        kind=st.sampled_from([VAR, AVAR]),
+        level=st.sampled_from([0.005, 0.05, 0.1]),
+        seed=st.integers(0, 2**32),
+    )
+    def test_case1_value_is_nondecreasing_in_beta0(self, problem, kind, level, seed):
+        m, region, thetas, steps = problem
+        lo, hi = moved(region, thetas, steps, 0)
+        assume(len(lo))
+        value = _Case1Value(CaseConfig(rm=RiskMeasureSpec(kind, level), n=1000, seed=seed), m)
+        before, after = value.exact(lo), value.exact(hi)
+        scale = np.maximum(1.0, np.maximum(np.abs(before), np.abs(after)))
+        assert np.all(after >= before - 1e-12 * scale)
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        problem=monotone_problems(),
+        kind=st.sampled_from([VAR, AVAR]),
+        level=st.sampled_from([0.005, 0.05, 0.1]),
+        u0=st.floats(-2.0, 2.0),
+    )
+    def test_case2_deficit_is_nonincreasing_in_beta0_and_beta1(self, problem, kind, level, u0):
+        m, region, thetas, steps = problem
+        c = gaussian_c(RiskMeasureSpec(kind, level))
+        arcs = _pareto_arcs(boundary_grid(project_region(region, [2, 3]), 64, positive=(1,)).points)
+
+        def h(th, c01):
+            return _h_exact(m, arcs, c01, c)
+
+        # r0 is the time-0 loss at the region's center where eps_{0,1} = u0
+        c01, y = _x1_plus_r1(m, region.center, 0.0, np.array([u0]), c)
+        r0 = float(y[0] - h(None, c01)[0])
+        coords = (0, 2) if m.c_m11 > 0.0 else (0,)
+        for coord in coords:
+            lo, hi = moved(region, thetas, steps, coord)
+            if not len(lo):
+                continue
+            before, after = (
+                _deficit(m, th, np.full(len(th), r0), c, h, _hermite_nodes()) for th in (lo, hi)
+            )
+            scale = np.maximum(1.0, np.maximum(np.abs(before), np.abs(after)))
+            assert np.all(after <= before + 1e-12 * scale)
 
 
 class TestTimeZeroDeficit:

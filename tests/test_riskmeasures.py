@@ -1,16 +1,20 @@
 """Value-at-risk and average value-at-risk estimators."""
 
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.stats import norm
 
+from ambival import riskmeasures
 from ambival.errors import ValidationError
 from ambival.riskmeasures import (
     AVAR,
     VAR,
     RiskMeasureSpec,
+    _measure_rows,
     apply_discrete,
     apply_empirical,
     gaussian_c,
@@ -243,6 +247,39 @@ class TestLevel:
                 one_law_reference(kind, values[a:b], probs[a:b], q) for a, b in segments
             ]
             np.testing.assert_array_equal(whole, reference)
+
+    @given(
+        width=st.integers(1, 40),
+        rows=st.integers(1, 300),
+        block=st.integers(1, 200),
+        odd=st.one_of(st.none(), st.integers(1, 40)),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_equal_widths_match_a_per_segment_gather(self, width, rows, block, odd, seed):
+        # ``block`` atoms per matrix cut the rows into several chunks; with
+        # ``odd`` set, one inner segment has another size, so the equal-width
+        # segments are no longer one run and are gathered by index
+        rng = np.random.default_rng(seed)
+        sizes = np.full(rows, width)
+        if odd is not None and odd != width and rows >= 3:
+            sizes[rng.integers(1, rows - 1)] = odd
+        offsets = np.concatenate(([0], np.cumsum(sizes)))
+        values = rng.integers(-3, 4, offsets[-1]) / 2.0  # tied losses
+        values[rng.random(offsets[-1]) < 0.3] += rng.normal(size=1)
+        probs = rng.uniform(0.1, 1.0, offsets[-1])
+        probs /= np.repeat(np.add.reduceat(probs, offsets[:-1]), sizes)
+        for kind in (VAR, AVAR):
+            for q in (0.01, 0.1, 0.37, 0.9):
+                with mock.patch.object(riskmeasures, "_BLOCK", block):
+                    got = apply_discrete(RiskMeasureSpec(kind, q), values, probs, offsets)
+                reference = []
+                for a, size in zip(offsets[:-1], sizes):
+                    idx = a + np.arange(size)[None, :]  # one segment, gathered by index
+                    reference.append(
+                        _measure_rows(RiskMeasureSpec(kind, q), -values[idx], probs[idx])[0]
+                    )
+                assert got.tobytes() == np.array(reference).tobytes()
 
     def test_blocks_do_not_change_values(self):
         # a level several matrix blocks long per segment size equals its pieces

@@ -149,7 +149,7 @@ class TestWorstCase:
     )
     def test_rejects_weights_of_another_length(self, transitions, width):
         class OneWeight(DensityFamily):
-            def weights(self, t, theta, block=None):
+            def weights(self, t, theta, block=None, out=None):
                 return np.ones(1)
 
         lattice = build_lattice(transitions)
@@ -279,6 +279,81 @@ class TestBlocks:
         with np.errstate(over="ignore", invalid="ignore"):
             with pytest.raises(NumericalError, match=r"at t=1, state 2, theta=1\.0"):
                 value_multiprior(cf, RiskMeasureSpec(VAR, 0.1), family, [0.0, 1.0], lattice)
+
+
+class IgnoresOut(ExponentialTiltFamily):
+    """The tilt, its weights always in a fresh array."""
+
+    def weights(self, t, theta, block=None, out=None):
+        return super().weights(t, theta, block)
+
+
+class ReadOnlyWeights(ExponentialTiltFamily):
+    """The tilt, its weights read-only views of whole-level arrays made once."""
+
+    def __init__(self, lattice, scores, grid):
+        super().__init__(lattice, scores)
+        self.table = {}
+        for t in range(1, lattice.horizon + 1):
+            for theta in grid:
+                w = super().weights(t, theta)
+                w.flags.writeable = False
+                self.table[t, theta] = w
+
+    def weights(self, t, theta, block=None, out=None):
+        w = self.table[t, theta]
+        return w if block is None else w[block.children]
+
+
+class TestWeightsStorage:
+    """The engine gives the same bits whether a family writes its weights into
+    the engine's scratch, returns a fresh array or returns a read-only view."""
+
+    @staticmethod
+    def families(lattice, scores, grid):
+        return [
+            ExponentialTiltFamily(lattice, scores),
+            IgnoresOut(lattice, scores),
+            ReadOnlyWeights(lattice, scores, grid),
+        ]
+
+    def assert_same_bits(self, lattice, scores, grid, payload, seed):
+        rng = np.random.default_rng(seed)
+        families = self.families(lattice, scores, grid)
+        for t in range(lattice.horizon):
+            vals = rng.normal(size=lattice.n_nodes(t + 1))
+            got = [worst_case_cond_exp(lattice, f, grid, vals, t) for f in families]
+            for mins, args in got[1:]:
+                assert mins.tobytes() == got[0][0].tobytes()
+                assert args.tobytes() == got[0][1].tobytes()
+        for kind in (VAR, AVAR):
+            rm = RiskMeasureSpec(kind, 0.3)
+            outs = [value_multiprior(make_cf(payload), rm, f, grid, lattice) for f in families]
+            for out in outs[1:]:
+                for name in ("R", "C", "V", "theta_star", "default_indicator"):
+                    for t, a in getattr(outs[0], name).items():
+                        assert a.tobytes() == getattr(out, name)[t].tobytes()
+
+    @settings(max_examples=100, deadline=None)
+    @given(ragged_selections(), st.sampled_from([None, 2, 5]), st.integers(0, 2**32 - 1))
+    def test_ragged_and_small_levels(self, problem, max_children, seed):
+        lattice, family, grid, _ = problem
+        if max_children is not None:
+            lattice = reblocked(lattice, max_children)
+        payload = {
+            t: np.random.default_rng(seed).uniform(-1.0, 1.0, lattice.n_nodes(t))
+            for t in range(1, lattice.horizon + 1)
+        }
+        self.assert_same_bits(lattice, family.scores, grid, payload, seed)
+
+    @pytest.mark.parametrize("max_children", [None, 100])
+    def test_matrix_rows(self, max_children):
+        # 1,024 leaves in groups of 32: level 1 sums as matrix rows
+        lattice, payload, family, grid = make_instance(np.random.default_rng(3), 2, 32)
+        assert lattice.widths[1] == 32 and lattice.n_nodes(2) >= _ROW_MIN_CHILDREN
+        if max_children is not None:
+            lattice = reblocked(lattice, max_children)
+        self.assert_same_bits(lattice, family.scores, grid, payload, 0)
 
 
 class TestScratchMemory:
