@@ -22,7 +22,8 @@ arc of the projected boundary grid.  Two ambiguity attitudes are supported:
   recursion value itself, plus a nested-supremum upper bound).
 
 All sampling is seeded and deterministic; worst-case searches use
-deterministic low-discrepancy boundary grids with local refinement.
+deterministic low-discrepancy grids on the cap of the boundary where the
+optimum lies, with local refinement.
 scipy loads at first use, inside the functions that call it.  The CLI
 (:mod:`ambival.cli`) runs these pieces for Table 1 and Figure 1 and writes
 every artifact; this module writes none.
@@ -71,6 +72,8 @@ _TAU_BINS = 4  # the threshold is taken in this many times the fewest bins holdi
 _G_SLACK = 1e-10  # widening of g's bin bounds, relative to |g| + b
 _BOUND_SLACK = 1e-9  # widening of the case-1 value bounds (_Case1Value), relative to their scale
 _CHUNK = 16  # theta rows per batched deficit evaluation; 64 raised the gauss-table peak RSS by 3%
+_FD_STEP = 1e-6  # central-difference step of the gradient polish, in whitened coordinates
+_GTOL = 1e-8  # gradient polish stop: its largest gradient component, over max(1, |grid best|)
 
 # coordinate layout of theta vectors
 _B0, _S0, _B1, _S1 = 0, 1, 2, 3
@@ -386,27 +389,43 @@ def _boundary_search(
     maximize: bool,
     m: int,
     positive: Sequence[int],
+    cap: Sequence[int],
+    smooth: bool,
 ) -> Tuple[float, np.ndarray]:
-    """Optimize a vectorized objective over the region boundary.
+    """Optimize a vectorized objective over the cap of the region boundary.
 
     Deterministic: a low-discrepancy coarse grid picks a starting point, then
-    a derivative-free local search over spherical angles polishes it and is
-    kept only where it improves on the grid's best point.  Points violating
-    positivity constraints are excluded (and penalized during the local
-    search).  On a batch of rows the objective must be exact at its best
-    entry; every other entry may instead be a bound on the losing side
-    (below the best when maximizing, above it when minimizing).  Single rows
-    must be exact.
+    a local search polishes it and is kept only where it improves on the
+    grid's best point.  The grid keeps only the cap: the points whose outward
+    normal ``Sigma^{-1} (theta - mu)`` is nonnegative on the ``cap``
+    coordinates, where the optimum lies when the objective improves along
+    them; an empty cap raises.  Points violating positivity constraints are
+    excluded (and penalized during the local search).
+
+    With ``smooth``, the polish is L-BFGS-B in whitened coordinates ``y``,
+    ``theta = mu + r L y / |y|``, on a central-difference gradient from one
+    batched call of ``2k + 1`` rows, stopped on the gradient norm; a stop
+    that is not on the gradient is logged.  Every row of a batch must then
+    be exact.  Otherwise it is Nelder-Mead over spherical angles on single
+    rows: on a batch, the objective must be exact at its best entry, and
+    every other entry may instead be a bound on the losing side (below the
+    best when maximizing, above it when minimizing).  Single rows must be
+    exact.
     """
     if region.is_point:
         theta = region.center
         return float(objective(theta[None, :])[0]), theta
-    grid = boundary_grid(region, m, positive=positive)
-    vals = objective(grid.points)
-    idx = int(np.argmax(vals)) if maximize else int(np.argmin(vals))
-    best_val, best_theta = float(vals[idx]), grid.points[idx]
     import scipy.linalg
     import scipy.optimize
+
+    grid = boundary_grid(region, m, positive=positive).points
+    normal = scipy.linalg.cho_solve((region.chol, True), (grid - region.center).T)
+    grid = grid[np.all(normal[list(cap)] >= 0.0, axis=0)]
+    if not len(grid):
+        raise ValidationError(f"no point of the {m}-point boundary grid is on the cap {list(cap)}")
+    vals = objective(grid)
+    idx = int(np.argmax(vals)) if maximize else int(np.argmin(vals))
+    best_val, best_theta = float(vals[idx]), grid[idx]
 
     k = region.dim
     r = math.sqrt(region.radius2)
@@ -414,21 +433,54 @@ def _boundary_search(
     s0 = y / np.linalg.norm(y)
     sign = 1.0 if maximize else -1.0
 
-    def neg(phis: np.ndarray) -> float:
-        theta = region.center + r * (region.chol @ _angles_to_sphere(phis, k))
-        if any(theta[c] <= 0.0 for c in positive):
-            return np.inf
-        return -sign * float(objective(theta[None, :])[0])
+    def neg(thetas: np.ndarray) -> np.ndarray:
+        """``-sign`` times the objective, ``inf`` where a positive coordinate is not."""
+        ok = np.all(thetas[:, list(positive)] > 0.0, axis=1)
+        out = np.full(len(thetas), np.inf)
+        if ok.any():
+            out[ok] = -sign * objective(thetas[ok])
+        return out
 
-    res = scipy.optimize.minimize(
-        neg,
-        _sphere_to_angles(s0),
-        method="Nelder-Mead",
-        options={"xatol": 1e-4, "fatol": 1e-9, "maxiter": 400},
-    )
+    if smooth:
+
+        def whitened(ys: np.ndarray) -> np.ndarray:
+            s = ys / np.linalg.norm(ys, axis=1, keepdims=True)
+            return region.center + r * (s @ region.chol.T)
+
+        steps = np.vstack([np.zeros(k), np.eye(k), -np.eye(k)]) * _FD_STEP
+
+        def fun_grad(y: np.ndarray) -> Tuple[float, np.ndarray]:
+            f = neg(whitened(y + steps))
+            if not np.all(np.isfinite(f)):
+                return np.inf, np.zeros(k)
+            return float(f[0]), (f[1 : k + 1] - f[k + 1 :]) / (2.0 * _FD_STEP)
+
+        gtol = _GTOL * max(1.0, abs(best_val))
+        res = scipy.optimize.minimize(
+            fun_grad, s0, jac=True, method="L-BFGS-B",
+            options={"gtol": gtol, "ftol": 0.0, "maxiter": 100},
+        )
+        grad = float(np.abs(res.jac).max())
+        if not grad <= gtol:
+            logger.warning(
+                "gradient polish stopped at gradient norm %.3g (status %d: %s)",
+                grad, res.status, res.message,
+            )
+        polished = whitened(res.x[None, :])[0]
+    else:
+
+        def sphere(phis: np.ndarray) -> np.ndarray:
+            return region.center + r * (region.chol @ _angles_to_sphere(phis, k))
+
+        res = scipy.optimize.minimize(
+            lambda phis: float(neg(sphere(phis)[None, :])[0]),
+            _sphere_to_angles(s0),
+            method="Nelder-Mead",
+            options={"xatol": 1e-4, "fatol": 1e-9, "maxiter": 400},
+        )
+        polished = sphere(res.x)
     if np.isfinite(res.fun) and -res.fun > sign * best_val:
-        best_val = float(-sign * res.fun)
-        best_theta = region.center + r * (region.chol @ _angles_to_sphere(res.x, k))
+        best_val, best_theta = float(-sign * res.fun), polished
     return best_val, best_theta
 
 
@@ -583,6 +635,42 @@ class _Case1R0:
 
 
 # ---------------------------------------------------------------------------
+# boundary attainment
+# ---------------------------------------------------------------------------
+
+
+def _beta1_range(region: ParamRegion) -> Tuple[float, float]:
+    """The smallest and largest ``beta1`` over the region."""
+    r = math.sqrt(region.radius2)
+    sd_b1 = math.sqrt(region.chol[_B1] @ region.chol[_B1])
+    return float(region.center[_B1] - r * sd_b1), float(region.center[_B1] + r * sd_b1)
+
+
+def _check_lemma(model: GaussianModel, region: ParamRegion) -> None:
+    """Raise unless the model's ``beta1`` and every ``beta1`` of the region are positive.
+
+    These are the conditions under which the case-1 supremum and the case-2
+    infimum lie on the cap of the boundary (:func:`case1_bounds`,
+    :func:`case2_value`).
+    """
+    b1_min, _ = _beta1_range(region)
+    if not (model.beta1 > 0.0 and b1_min > 0.0):
+        raise ValidationError(
+            f"boundary attainment needs beta1 > 0 for the model and over the whole region "
+            f"(got beta1 = {model.beta1:.6g}, beta1_min = {b1_min:.6g})"
+        )
+
+
+def _cap(model: GaussianModel, b0: int, b1: int) -> Tuple[int, ...]:
+    """The cap coordinates of a case-2 search whose ``beta0`` and ``beta1`` sit at ``b0`` and ``b1``.
+
+    The case-2 objectives improve in ``beta0``, and in ``beta1`` when
+    ``c_{-1,1} > 0``.
+    """
+    return (b0, b1) if model.c_m11 > 0.0 else (b0,)
+
+
+# ---------------------------------------------------------------------------
 # case 1
 # ---------------------------------------------------------------------------
 
@@ -666,6 +754,8 @@ class _Case1Value:
         return self._value(thetas, np.array([self.r0_of(t) for t in thetas[:, [_B1, _S1]]]))
 
     def __call__(self, thetas: np.ndarray) -> np.ndarray:
+        if len(thetas) == 1:
+            return self.exact(thetas)
         m = self.model
         theta1 = thetas[:, [_B1, _S1]]
         scale = (
@@ -702,7 +792,9 @@ def case1_bounds(
     """Lower and upper bounds for the time-0 value under fixed-parameter priors.
 
     The lower bound maximizes the fixed-prior value ``V_0^theta = R_0^theta -
-    C_0^theta`` over the region boundary.  The time-1 layer is closed form
+    C_0^theta`` over the cap of the region boundary where the outward normal
+    has a nonnegative ``beta0`` component, polished by Nelder-Mead
+    (:func:`_boundary_search`).  The time-1 layer is closed form
     (:func:`closed_form_g` under theta's ``(beta1, sigma1)``).  The time-0 risk
     measure ``R_0^theta`` is empirical on the ``n`` base-measure paths, with
     the same bits as from all of them, but the closed form runs only on the
@@ -721,18 +813,24 @@ def case1_bounds(
     ``beta0``.  So when ``beta1 > 0`` over the region and ``beta1_P > 0``,
     ``V_0^theta`` is nondecreasing in ``beta0``, node by node of the
     quadrature, and the supremum is attained on the boundary, where the
-    outward normal has a nonnegative ``beta0`` component.  The conditions are
-    not checked; the interior sweep below logs any clear counterexample.
+    outward normal has a nonnegative ``beta0`` component.  Both conditions
+    are checked before any work: :class:`ValidationError` otherwise.
+
+    Why Nelder-Mead: ``R_0^theta`` is an order statistic of the sample, so
+    the value has kinks in ``(beta1, sigma1)`` that stall a gradient method.
     """
+    _check_lemma(model, region)
     with _pool(cfg.threads) as pool:
         objective = _Case1Value(cfg, model, pool)
         lower, arg = _boundary_search(
-            region, objective, maximize=True, m=_M_SEARCH, positive=(_S0, _S1)
+            region, objective, maximize=True, m=_M_SEARCH, positive=(_S0, _S1), cap=(_B0,),
+            smooth=False,
         )
         if not region.is_point:
-            # Boundary attainment holds under the conditions of the lemma in
-            # the docstring, which are not checked; a coarse interior sweep
-            # flags any clear counterexample.
+            # Boundary attainment is proved under the lemma's conditions,
+            # checked above; this coarse interior sweep only logs a
+            # counterexample.  perfbench/tracing.py patches interior_grid by
+            # name, so the sweep stays until the benchmark is revised.
             inner = interior_grid(region, 64, positive=(_S0, _S1))
             excess = float(objective(inner).max()) - lower
             if excess > 0.005:
@@ -829,23 +927,30 @@ def fit_h(model: GaussianModel, proj: ParamRegion, c: float) -> HFit:
     return HFit(knots=xs, values=_h_exact(model, arcs, xs, c), points=arcs)
 
 
+def _rectangular_beta1_range(region: ParamRegion) -> Tuple[float, float]:
+    """:func:`_beta1_range`, raising unless ``beta1 > 1`` over a region that is not a point."""
+    b1_min, b1_max = _beta1_range(region)
+    if b1_min <= 1.0 and not region.is_point:
+        raise ValidationError(
+            f"rectangular upper bound needs beta1 > 1 over the whole region "
+            f"(got beta1_min = {b1_min:.6g})"
+        )
+    return b1_min, b1_max
+
+
 def case2_upper(model: GaussianModel, region: ParamRegion) -> float:
     """Worst-case expected total cash flow over the rectangular hull.
 
     Iterated worst-case expectations: the second-period parameter is re-chosen
     per state, so the inner supremum is attained at the extreme admissible
     ``beta1`` on each sign of ``C_{0,1}`` and has a closed form; the outer
-    supremum runs over the region.
+    supremum runs over the ``(beta0, sigma0, beta1)`` projection of the region.
+    With ``beta1_min > 1`` the objective rises in ``beta0``, and in ``beta1``
+    when ``c_{-1,1} > 0``, so the search keeps the cap of the boundary where
+    the outward normal is nonnegative in those coordinates.
     """
-    r = math.sqrt(region.radius2)
-    sd_b1 = math.sqrt(region.chol[_B1] @ region.chol[_B1])
-    b1_max = float(region.center[_B1] + r * sd_b1)
-    b1_min = float(region.center[_B1] - r * sd_b1)
-    if b1_min <= 1.0 and not region.is_point:
-        raise ValidationError(
-            f"rectangular upper bound needs beta1 > 1 over the whole region "
-            f"(got beta1_min = {b1_min:.6g})"
-        )
+    b1_min, b1_max = _rectangular_beta1_range(region)
+
     def obj(thetas: np.ndarray) -> np.ndarray:
         b0, s0, b1 = thetas[:, 0], thetas[:, 1], thetas[:, 2]
         sd = s0 / math.sqrt(model.v0)  # standard deviation of C01
@@ -859,7 +964,9 @@ def case2_upper(model: GaussianModel, region: ParamRegion) -> float:
         )
 
     proj = project_region(region, [_B0, _S0, _B1])
-    val, _ = _boundary_search(proj, obj, maximize=True, m=_M_UPPER, positive=(1,))
+    val, _ = _boundary_search(
+        proj, obj, maximize=True, m=_M_UPPER, positive=(1,), cap=_cap(model, 0, 2), smooth=True
+    )
     return val
 
 
@@ -874,7 +981,10 @@ def case2_value(
     the ``n`` base-measure paths, read through the tabulated ``h``
     (:func:`fit_h`), once per cell.  The deficit-option expectation is exact
     up to Gauss-Hermite quadrature (:func:`_deficit`, with ``h`` exact at the
-    nodes) and is minimized over the region boundary.
+    nodes).  It is minimized over the cap of the region boundary where the
+    outward normal has a nonnegative ``beta0`` component, and a nonnegative
+    ``beta1`` component too when ``c_{-1,1} > 0``, then polished by L-BFGS-B
+    on a batched central-difference gradient (:func:`_boundary_search`).
 
     Why the boundary: the time-0 loss ``L = X_1 + R_1 - h`` grows with
     ``C_{0,1}`` at a rate of at least ``v0 min(beta1_P, beta1_min)``, with
@@ -884,9 +994,12 @@ def case2_value(
     enters only ``X_1``, as ``v_{-1} (beta1 - 1) c_{-1,1}``.  So when both
     ``beta1`` are positive, the deficit at a fixed ``R_0`` is nonincreasing
     in ``beta0``, and in ``beta1`` too when ``c_{-1,1} > 0``, node by node of
-    the quadrature: the infimum is attained on the boundary.  The conditions
-    are not checked here; :func:`case2_upper` requires ``beta1 > 1``.
+    the quadrature: the infimum is attained on the boundary.  The conditions,
+    and the ``beta1 > 1`` of :func:`case2_upper`, are checked before any
+    work: :class:`ValidationError` otherwise.
     """
+    _check_lemma(model, region)
+    _rectangular_beta1_range(region)
     c = gaussian_c(cfg.rm)
     base = _p_sample(model, cfg.n, cfg.seed, c)
     h = fit_h(model, project_region(region, [_B1, _S1]), c)
@@ -902,7 +1015,8 @@ def case2_value(
             return _deficit(model, thetas, np.full(len(thetas), r0), c, h_exact, nodes, pool)
 
         c0, arg = _boundary_search(
-            region, deficit, maximize=False, m=_M_SEARCH, positive=(_S0, _S1)
+            region, deficit, maximize=False, m=_M_SEARCH, positive=(_S0, _S1),
+            cap=_cap(model, _B0, _B1), smooth=True,
         )
     return r0 - c0, case2_upper(model, region), arg
 

@@ -359,7 +359,8 @@ def project_region(region: ParamRegion, coords: Sequence[int]) -> ParamRegion:
 
     The projected ellipsoid keeps the full-dimensional squared radius: it is
     the shadow of the original region, described by the sub-vector of the
-    center and the Cholesky factor of the covariance sub-block.
+    center and the Cholesky factor of the covariance sub-block.  A sub-block
+    that is numerically singular raises :class:`ValidationError`.
     """
     coords = _coordinates(region, coords, "projection")
     if len(coords) == 0 or len(set(coords)) != len(coords):
@@ -368,11 +369,13 @@ def project_region(region: ParamRegion, coords: Sequence[int]) -> ParamRegion:
 
     sigma = region.chol @ region.chol.T
     sub = sigma[np.ix_(coords, coords)]
-    return ParamRegion(
-        center=region.center[coords],
-        chol=scipy.linalg.cholesky(sub, lower=True),
-        radius2=region.radius2,
-    )
+    try:
+        chol = scipy.linalg.cholesky(sub, lower=True)
+    except scipy.linalg.LinAlgError as exc:
+        raise ValidationError(
+            f"covariance of the projection onto coordinates {coords} is numerically singular: {exc}"
+        ) from exc
+    return ParamRegion(center=region.center[coords], chol=chol, radius2=region.radius2)
 
 
 def _coordinates(region: ParamRegion, coords: Sequence[int], what: str) -> List[int]:

@@ -330,30 +330,130 @@ class TestBoundarySearch:
         def obj(pts):
             return pts @ w
 
-        val, theta = _boundary_search(region, obj, maximize=True, m=128, positive=())
         exact = w @ region.center + math.sqrt(region.radius2 * w @ sigma @ w)
-        assert abs(val - exact) < 1e-8
-        assert region.membership(theta)
+        for smooth in (False, True):
+            val, theta = _boundary_search(
+                region, obj, maximize=True, m=128, positive=(), cap=(), smooth=smooth
+            )
+            assert abs(val - exact) < 1e-8
+            assert region.membership(theta)
 
     def test_point_region_shortcut(self):
         region = point_region(np.array([2.0, 3.0]))
         val, theta = _boundary_search(
-            region, lambda pts: pts[:, 0] + pts[:, 1], maximize=True, m=16, positive=()
+            region, lambda pts: pts[:, 0] + pts[:, 1], maximize=True, m=16, positive=(), cap=(),
+            smooth=False,
         )
         assert val == 5.0
 
+    @staticmethod
+    def grid_then(polish, maximize, smooth):
+        """The search's value for an objective that is 0 on the coarse grid and
+        ``polish`` on every batch the polish asks for: a single row
+        (Nelder-Mead) or 2k + 1 rows (the gradient polish)."""
+        region = ellipsoid_region(np.array([10.0, 10.0]), np.diag([1.0, 4.0]), 0.9)
+        calls = []
+
+        def obj(pts):
+            calls.append(len(pts))
+            return np.full(len(pts), 0.0 if len(calls) == 1 else polish)
+
+        val, _ = _boundary_search(
+            region, obj, maximize=maximize, m=16, positive=(), cap=(), smooth=smooth
+        )
+        assert len(calls) > 1 and set(calls[1:]) == {5 if smooth else 1}
+        return val
 
     @pytest.mark.parametrize("maximize, expected", [(True, 1.0), (False, 0.0)])
     def test_polish_is_kept_only_where_it_improves(self, maximize, expected):
-        # 0 on the coarse grid and 1 at every single point the polish visits:
-        # better than the grid when maximizing, worse when minimizing
-        region = ellipsoid_region(np.array([10.0, 10.0]), np.diag([1.0, 4.0]), 0.9)
+        # 1 on the polish's batches: better than the grid when maximizing,
+        # worse when minimizing
+        for smooth in (False, True):
+            assert self.grid_then(1.0, maximize, smooth) == expected
+
+    @pytest.mark.parametrize("maximize", [True, False])
+    def test_a_polish_worse_than_the_grid_is_dropped(self, maximize):
+        worse = -1.0 if maximize else 1.0
+        for smooth in (False, True):
+            assert self.grid_then(worse, maximize, smooth) == 0.0
+
+    def test_grid_is_the_cap(self):
+        # the coarse grid is the boundary grid's points whose outward normal
+        # Sigma^{-1} (theta - mu) is nonnegative on the cap coordinates
+        rng = np.random.default_rng(3)
+        a = rng.normal(size=(4, 4))
+        sigma = a @ a.T + np.eye(4)
+        region = ellipsoid_region(rng.normal(size=4), sigma, 0.5)
+        batches = []
 
         def obj(pts):
-            return np.full(len(pts), 0.0 if len(pts) > 1 else 1.0)
+            batches.append(pts.copy())
+            return pts[:, 0]
 
-        val, _ = _boundary_search(region, obj, maximize=maximize, m=16, positive=())
-        assert val == expected
+        _boundary_search(region, obj, maximize=True, m=512, positive=(), cap=(0, 2), smooth=False)
+        grid = boundary_grid(region, 512).points
+        normal = np.linalg.solve(sigma, (grid - region.center).T)[[0, 2]]
+        tol = 1e-9 * np.abs(normal).max()
+        seen = {row.tobytes() for row in batches[0]}
+        kept = np.array([row.tobytes() in seen for row in grid])
+        assert kept.sum() == len(batches[0]) and 64 < len(batches[0]) < 256
+        assert np.all(normal[:, kept] >= -tol)
+        assert np.all(kept[np.all(normal > tol, axis=0)])
+
+    def test_an_empty_cap_raises(self):
+        # the first two points of the 3-D grid both have a negative coordinate
+        region = ParamRegion(center=np.zeros(3), chol=np.eye(3), radius2=1.0)
+        with pytest.raises(ValidationError, match="cap"):
+            _boundary_search(
+                region, lambda pts: pts[:, 0], maximize=True, m=2, positive=(), cap=(0, 1, 2),
+                smooth=True,
+            )
+
+    def test_gradient_polish_never_evaluates_a_nonpositive_coordinate(self, caplog):
+        # sqrt(sigma) warns below 0, which pytest makes an error; its minimum
+        # over the boundary is at sigma = 0, where the polish's rows cross
+        region = ParamRegion(center=np.array([0.0, 1.0]), chol=np.eye(2), radius2=1.02**2)
+
+        def obj(pts):
+            assert np.all(pts[:, 1] > 0.0)
+            return np.sqrt(pts[:, 1])
+
+        val, theta = _boundary_search(
+            region, obj, maximize=False, m=64, positive=(1,), cap=(), smooth=True
+        )
+        assert theta[1] > 0.0 and val == math.sqrt(theta[1])
+        assert "gradient polish stopped" in caplog.text
+
+    @settings(max_examples=100, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1))
+    def test_gradient_polish_reaches_the_exact_case1_upper(self, seed):
+        # case1_upper's bilinear objective over random models and ellipses,
+        # against its exact maximum from the roots of a quartic
+        rng = np.random.default_rng(seed)
+        m = GaussianModel(
+            beta0=rng.uniform(-2.0, 2.0),
+            sigma0=0.2,
+            beta1=rng.uniform(-2.0, 2.0),
+            sigma1=0.2,
+            exposures=rng.uniform(0.25, 4.0, 11),
+            c_m11=rng.uniform(-2.0, 2.0),
+        )
+        chol = np.tril(rng.normal(size=(4, 4)), -1) + np.diag(rng.uniform(0.1, 1.0, 4))
+        region = ParamRegion(
+            center=rng.uniform(-2.0, 2.0, 4),
+            chol=chol * 10.0 ** rng.uniform(-3.0, 1.0),
+            radius2=rng.uniform(0.01, 10.0),
+        )
+
+        def obj(pts):
+            return m.v_m1 * (pts[:, 1] - 1.0) * m.c_m11 + m.v0 * pts[:, 0] * pts[:, 1]
+
+        val, _ = _boundary_search(
+            project_region(region, [0, 2]), obj, maximize=True, m=4096, positive=(), cap=(),
+            smooth=True,
+        )
+        exact = case1_upper(m, region)
+        assert abs(val - exact) <= 1e-10 * max(1.0, abs(exact))
 
 
 class TestCaseBounds:
@@ -466,6 +566,51 @@ class TestCaseBounds:
         region = region_for(self.cloud, 1.0 - 1e-12)
         with pytest.raises(ValidationError, match="beta1"):
             case2_upper(self.model, region)
+
+    @pytest.mark.parametrize(
+        "bounds, model_beta1, region_beta1, match",
+        [
+            (case1_bounds, -0.5, None, "beta1 > 0"),
+            (case1_bounds, 0.0, None, "beta1 > 0"),
+            (case1_bounds, None, 0.0, "beta1 > 0"),
+            (case2_value, -0.5, None, "beta1 > 0"),
+            (case2_value, None, 0.0, "beta1 > 0"),
+            (case2_value, None, 1.0, "beta1 > 1"),
+        ],
+    )
+    def test_lemma_conditions_are_checked_before_any_work(
+        self, monkeypatch, bounds, model_beta1, region_beta1, match
+    ):
+        # a model beta1, or a region centred at a beta1 that its radius
+        # reaches below; the base sample must not be drawn
+        def drawn(*args):
+            raise AssertionError("the base sample was drawn")
+
+        monkeypatch.setattr(ambival.gaussian, "_p_sample", drawn)
+        model, region = self.model, region_for(self.cloud, 0.1)
+        if model_beta1 is not None:
+            model = replace(model, beta1=model_beta1)
+        if region_beta1 is not None:
+            center = region.center.copy()
+            center[2] = region_beta1
+            region = replace(region, center=center)
+        with pytest.raises(ValidationError, match=match):
+            bounds(self.fast_cfg(), model, region)
+
+    def test_case1_upper_rejects_a_numerically_singular_projection(self):
+        # the beta1 row of the Cholesky factor is the beta0 row up to 1e-9:
+        # the (beta0, beta1) covariance block rounds to a singular one
+        chol = np.array(
+            [
+                [1.0, 0.0, 0.0, 0.0],
+                [0.3, 0.5, 0.0, 0.0],
+                [0.8, 0.3e-9, 0.4e-9, 0.0],
+                [0.1, 0.2, 0.3, 0.4],
+            ]
+        )
+        region = ParamRegion(center=self.model.theta, chol=0.01 * chol, radius2=1.0)
+        with pytest.raises(ValidationError, match=r"coordinates \[0, 2\] is numerically singular"):
+            case1_upper(self.model, region)
 
     def test_threads_do_not_change_the_result(self):
         region = region_for(self.cloud, 0.1)
@@ -591,6 +736,18 @@ class TestCase1Value:
             swept = case1_bounds(cfg, m, region)
         assert np.array(got[:2]).tobytes() == np.array(swept[:2]).tobytes()
         assert got[2].tobytes() == swept[2].tobytes()
+
+    def test_a_single_row_is_exact_bit_for_bit(self):
+        m = paper_model()
+        region = region_for(estimator_cloud(m, 1000, seed=0), 0.5)
+        value = _Case1Value(CaseConfig(rm=RiskMeasureSpec(AVAR, 0.05), n=2000, seed=0), m)
+        thetas = np.vstack(
+            [boundary_grid(region, 16, positive=(1, 3)).points, interior_grid(region, 8, positive=(1, 3))]
+        )
+        for theta in thetas:
+            assert value(theta[None, :]).tobytes() == value.exact(theta[None, :]).tobytes()
+        best = int(np.argmax(value(thetas)))
+        assert value(thetas)[best].tobytes() == value(thetas[[best]])[0].tobytes()
 
     def test_batched_deficit_equals_each_row_alone(self):
         m = paper_model()
